@@ -9,7 +9,6 @@ from .kernel import (
     DegenerateRootError,
     DimensionError,
     DomainError,
-    Rational,
     SchurViolationError,
     Surd,
     Tolerance,
@@ -30,7 +29,6 @@ from .gtbasis import (
 )
 from .glrep import (
     Representation,
-    build_generator,
     casimir_eigenvalue_formula,
     casimir_sigma,
     elementary_coefficient,

@@ -11,6 +11,8 @@ Lagrange products with operator nodes project onto branch components.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from .gtbasis import (
     Weight,
     check_highest_weight,
     dimension,
+    enumerate_patterns,
     is_dominant,
     pattern_weight,
     rows_interlace,
@@ -92,11 +95,15 @@ def dual_vector_weight(n: int) -> Weight:
     return weight((0,) * (n - 1) + (-1,))
 
 
+def _roots(labels) -> list[Fraction]:
+    """lam_j + n - j for the n labels of a weight or a pattern row."""
+    n = len(labels)
+    return [labels[j - 1] + (n - j) for j in range(1, n + 1)]
+
+
 def alpha_roots(lam) -> list[Fraction]:
     """Roots of the plain characteristic matrix: alpha_j = lam_j + n - j."""
-    lam = check_highest_weight(lam)
-    n = len(lam)
-    return [lam[j - 1] + n - j for j in range(1, n + 1)]
+    return _roots(check_highest_weight(lam))
 
 
 def alpha_bar_roots(lam) -> list[Fraction]:
@@ -170,8 +177,6 @@ def general_root_candidates(lam, mu) -> dict[Fraction, tuple[Weight, ...]]:
     chi_lam = casimir_eigenvalue_formula(lam, 2)
     chi_mu = casimir_eigenvalue_formula(mu, 2)
     seen: dict[Weight, None] = {}
-    from .gtbasis import enumerate_patterns  # local import keeps module load light
-
     for p in enumerate_patterns(mu):
         seen.setdefault(pattern_weight(p), None)
     out: dict[Fraction, list[Weight]] = {}
@@ -196,18 +201,12 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     values merge into one root.
     """
     lam = check_highest_weight(lam)
-    n = len(lam)
-    if kind == KIND_A:
+    if kind in (KIND_A, KIND_ABAR):
+        values, step = ((alpha_roots(lam), -1) if kind == KIND_A
+                        else (alpha_bar_roots(lam), +1))
         out = []
-        for j, value in enumerate(alpha_roots(lam), start=1):
-            nu = _shifted(lam, j, -1)
-            mult = dimension(nu) if is_dominant(nu) else 0
-            out.append(Root(value, nu, mult))
-        return tuple(out)
-    if kind == KIND_ABAR:
-        out = []
-        for j, value in enumerate(alpha_bar_roots(lam), start=1):
-            nu = _shifted(lam, j, +1)
+        for j, value in enumerate(values, start=1):
+            nu = _shifted(lam, j, step)
             mult = dimension(nu) if is_dominant(nu) else 0
             out.append(Root(value, nu, mult))
         return tuple(out)
@@ -242,6 +241,34 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     return tuple(out)
 
 
+def _root_product(big: np.ndarray, nodes, target=None
+                  ) -> tuple[np.ndarray, float]:
+    """Ordered product of the factors (big - node), left to right, and the
+    largest absolute entry of any factor.
+
+    A node is a scalar root (exact Fraction) or a diagonal operator root
+    (float vector of length big.shape[0]); either is subtracted from the
+    diagonal.  Given a target node, each partial product is divided
+    column-wise by (target - node), which makes the product a Lagrange
+    interpolation projector.
+
+    The factor and the two product buffers are allocated once and reused;
+    fresh matrices per factor left the heap up to two matrices larger.
+    """
+    product = np.eye(big.shape[0])
+    spare = np.empty_like(big)
+    factor = np.empty_like(big)
+    scale = 0.0
+    for node in nodes:
+        np.copyto(factor, big)
+        factor.flat[::len(factor) + 1] -= np.asarray(node, dtype=float)
+        scale = max(scale, max_abs(factor))
+        product, spare = np.matmul(product, factor, out=spare), product
+        if target is not None:
+            product /= np.asarray(target - node, dtype=float)
+    return product, scale
+
+
 def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
                     ) -> list[ResidualReport]:
     """Residuals of the polynomial identity prod(cm - value) over the roots.
@@ -254,12 +281,7 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
     tol = tol or Tolerance()
     values = sorted({root.value for root in spectrum})
     d = cm.big.shape[0]
-    product = np.eye(d)
-    scale = 0.0
-    for value in values:
-        factor = cm.big - float(value) * np.eye(d)
-        scale = max(scale, max_abs(factor))
-        product = product @ factor
+    product, scale = _root_product(cm.big, values)
     residual = max_abs(product)
     threshold = tol.threshold(scale)
     reports = [ResidualReport(
@@ -294,35 +316,26 @@ def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
     spectrum = tuple(spectrum)
     if not 1 <= r <= len(spectrum):
         raise DomainError(f"root index {r} outside 1..{len(spectrum)}")
-    present = [root for root in spectrum if root.multiplicity > 0]
-    values = [root.value for root in present]
+    values = [root.value for root in spectrum if root.multiplicity > 0]
     if len(set(values)) != len(values):
         raise DegenerateRootError(
             f"repeated root values in spectrum: {sorted(map(str, values))}")
     target = spectrum[r - 1]
-    d = cm.big.shape[0]
     if target.multiplicity == 0:
-        return Projector(r, target, np.zeros((d, d)))
-    matrix = np.eye(d)
-    for root in present:
-        if root.value == target.value:
-            continue
-        matrix = matrix @ (cm.big - float(root.value) * np.eye(d))
-        matrix /= float(target.value - root.value)
+        return Projector(r, target, np.zeros(cm.big.shape))
+    nodes = [value for value in values if value != target.value]
+    matrix, _ = _root_product(cm.big, nodes, target=target.value)
     return Projector(r, target, matrix)
 
 
 # ---------------------------------------------------------------------------
 # Operator-valued roots on the gl(n) restriction of a gl(n+1) module.
 
-def row_label_array(rep: Representation, level: int, k: int) -> np.ndarray:
-    """k-th label of each pattern's row `level`, as a float vector."""
-    return np.array([float(p.row(level)[k - 1]) for p in rep.patterns])
-
-
 def operator_root_array(rep: Representation, level: int, k: int,
                         kind: str) -> np.ndarray:
-    labels = row_label_array(rep, level, k)
+    """k-th root of the gl(level) subalgebra as a diagonal operator: one
+    value per basis vector, read from the k-th label of its row `level`."""
+    labels = np.array([float(p.row(level)[k - 1]) for p in rep.patterns])
     if kind == KIND_A:
         return labels + (level - k)
     if kind == KIND_ABAR:
@@ -342,15 +355,9 @@ def restricted_projector(rep: Representation, level: int, r: int,
     if not 1 <= r <= level:
         raise DomainError(f"component index {r} outside 1..{level}")
     big = gl_block_matrix(rep, kind, level=level)
-    d = rep.dim
-    root_r = operator_root_array(rep, level, r, kind)
-    out = np.eye(level * d)
-    for l in range(1, level + 1):
-        if l == r:
-            continue
-        root_l = operator_root_array(rep, level, l, kind)
-        out = out @ (big - np.diag(np.tile(root_l, level)))
-        out = out / np.tile(root_r - root_l, level)[None, :]
+    nodes = [np.tile(operator_root_array(rep, level, l, kind), level)
+             for l in range(1, level + 1)]
+    out, _ = _root_product(big, nodes[:r - 1] + nodes[r:], target=nodes[r - 1])
     return out
 
 
@@ -419,16 +426,6 @@ def shift_components(rep: Representation, r: int,
 # ---------------------------------------------------------------------------
 # Invariants of the gl(n) < gl(n+1) pair.
 
-def _top_roots(lam_top: Weight) -> list[Fraction]:
-    n1 = len(lam_top)
-    return [lam_top[p - 1] + n1 - p for p in range(1, n1 + 1)]
-
-
-def _sub_roots(lam_sub: Weight) -> list[Fraction]:
-    n = len(lam_sub)
-    return [lam_sub[l - 1] + n - l for l in range(1, n + 1)]
-
-
 def _check_branch_pair(lam_top, lam_sub) -> tuple[Weight, Weight]:
     lam_top = check_highest_weight(lam_top)
     lam_sub = check_highest_weight(lam_sub)
@@ -439,61 +436,59 @@ def _check_branch_pair(lam_top, lam_sub) -> tuple[Weight, Weight]:
     return lam_top, lam_sub
 
 
+def _c_factors(tops, subs, k: int, bar: bool):
+    """(sign, numerator, denominator) factor lists of C_{k,n+1}, or of
+    Cbar_{k,n+1} when bar, from the top roots and the branch roots."""
+    a = tops[k - 1]
+    shifted = a if bar else a - 1
+    num = [shifted - alpha for alpha in subs]
+    den = [a - alpha for p, alpha in enumerate(tops, start=1) if p != k]
+    return 1, num, den
+
+
+def _m_factors(tops, subs, r: int, bar: bool):
+    """(sign, numerator, denominator) factor lists of M_{r,n}, or of
+    Mbar_{r,n} when bar, from the top roots and the branch roots."""
+    a = subs[r - 1]
+    num_shifted = a if bar else a + 1
+    den_shifted = a - 1 if bar else a + 1
+    num = [alpha - num_shifted for alpha in tops]
+    den = [den_shifted - alpha for l, alpha in enumerate(subs, start=1) if l != r]
+    return (-1 if len(subs) % 2 else 1), num, den
+
+
+def _factor_ratio(factors, degenerate: str) -> Fraction:
+    """sign * prod(num) / prod(den); a vanishing denominator factor raises
+    DegenerateRootError with the given message."""
+    sign, num, den = factors
+    if 0 in den:
+        raise DegenerateRootError(degenerate)
+    return math.prod(num, start=sign) / math.prod(den)
+
+
 def invariant_C_eigenvalue(lam_top, lam_sub, k: int, kind: str = "C") -> Fraction:
     """Closed-form eigenvalue of the projector corner invariant C_{k,n+1}
     (or Cbar_{k,n+1}) on the branch component lam_sub."""
     lam_top, lam_sub = _check_branch_pair(lam_top, lam_sub)
-    tops = _top_roots(lam_top)
-    subs = _sub_roots(lam_sub)
-    if not 1 <= k <= len(tops):
-        raise DomainError(f"index {k} outside 1..{len(tops)}")
-    if kind == "C":
-        shift = 1
-    elif kind == "Cbar":
-        shift = 0
-    else:
+    if not 1 <= k <= len(lam_top):
+        raise DomainError(f"index {k} outside 1..{len(lam_top)}")
+    if kind not in ("C", "Cbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    value = Fraction(1)
-    for p, alpha in enumerate(tops, start=1):
-        if p == k:
-            continue
-        gap = tops[k - 1] - alpha
-        if gap == 0:
-            raise DegenerateRootError(
-                f"coincident characteristic roots {k} and {p} of {lam_top}")
-        value /= gap
-    for alpha in subs:
-        value *= tops[k - 1] - alpha - shift
-    return value
+    factors = _c_factors(_roots(lam_top), _roots(lam_sub), k, bar=kind == "Cbar")
+    return _factor_ratio(factors, f"coincident characteristic roots of {lam_top}")
 
 
 def invariant_M_eigenvalue(lam_top, lam_sub, r: int, kind: str = "M") -> Fraction:
     """Closed-form eigenvalue of the squared-norm invariant M_{r,n}
     (or Mbar_{r,n}) on the branch component lam_sub."""
     lam_top, lam_sub = _check_branch_pair(lam_top, lam_sub)
-    tops = _top_roots(lam_top)
-    subs = _sub_roots(lam_sub)
-    n = len(subs)
-    if not 1 <= r <= n:
-        raise DomainError(f"index {r} outside 1..{n}")
-    if kind == "M":
-        num_shift, den_shift = 1, 1
-    elif kind == "Mbar":
-        num_shift, den_shift = 0, -1
-    else:
+    if not 1 <= r <= len(lam_sub):
+        raise DomainError(f"index {r} outside 1..{len(lam_sub)}")
+    if kind not in ("M", "Mbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    value = Fraction(-1 if n % 2 else 1)
-    for alpha in tops:
-        value *= alpha - subs[r - 1] - num_shift
-    for l, alpha in enumerate(subs, start=1):
-        if l == r:
-            continue
-        gap = subs[r - 1] - alpha + den_shift
-        if gap == 0:
-            raise DegenerateRootError(
-                f"degenerate denominator for M invariant r={r} on {lam_sub}")
-        value /= gap
-    return value
+    factors = _m_factors(_roots(lam_top), _roots(lam_sub), r, bar=kind == "Mbar")
+    return _factor_ratio(
+        factors, f"degenerate denominator for M invariant r={r} on {lam_sub}")
 
 
 def elementary_square_from_invariants(pattern, r: int) -> Fraction:
@@ -504,27 +499,29 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
     takes a different code path from the coefficient itself, so exact
     agreement is a genuine cross-check of the root conventions.
     """
-    big_n = pattern.size
-    n = big_n - 1
+    n = pattern.size - 1
     if n < 1:
         raise DomainError("needs a pattern with at least two rows")
     if not 1 <= r <= n:
         raise DomainError(f"index {r} outside 1..{n}")
-    tops = [pattern.row(big_n)[p - 1] + big_n - p for p in range(1, big_n + 1)]
-    subs = [pattern.row(n)[l - 1] + n - l for l in range(1, n + 1)]
-    lows = ([pattern.row(n - 1)[l - 1] + (n - 1) - l for l in range(1, n)]
-            if n > 1 else [])
-    a = subs[r - 1]
-    num = [alpha - a - 1 for alpha in tops] + [a - alpha for alpha in lows]
-    den = []
-    for l, alpha in enumerate(subs, start=1):
-        if l == r:
-            continue
-        den.append(a - alpha + 1)
-        den.append(a - alpha)
-    sign = -1 if n % 2 else 1
-    return _cancelled_ratio(sign, num, den,
+    tops = _roots(pattern.row(n + 1))
+    subs = _roots(pattern.row(n))
+    lows = _roots(pattern.row(n - 1)) if n > 1 else []
+    m_sign, m_num, m_den = _m_factors(tops, subs, r, bar=False)
+    c_sign, c_num, c_den = _c_factors(subs, lows, r, bar=True)
+    return _cancelled_ratio(m_sign * c_sign, m_num + c_num, m_den + c_den,
                             f"M*Cbar product r={r} on {pattern.rows}")
+
+
+def _per_branch(rep: Representation, value) -> np.ndarray:
+    """value(top roots, branch roots) for each basis vector of a gl(n+1)
+    module, evaluated once per branch component: the patterns sharing row n
+    are adjacent in the canonical basis order."""
+    tops = _roots(rep.weight)
+    out = []
+    for row, run in itertools.groupby(p.row(rep.N - 1) for p in rep.patterns):
+        out += [value(tops, _roots(row))] * len(list(run))
+    return np.array(out, dtype=float)
 
 
 def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
@@ -535,40 +532,16 @@ def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
     Returned separately so operator identities can be checked with cleared
     denominators on patterns where the denominator vanishes.
     """
-    n = rep.N - 1
-    tops = _top_roots(rep.weight)
-    nums = np.zeros(rep.dim)
-    dens = np.zeros(rep.dim)
-    sign = -1 if n % 2 else 1
-    for idx, pat in enumerate(rep.patterns):
-        subs = [pat.row(n)[l - 1] + n - l for l in range(1, n + 1)]
-        a = subs[r - 1]
-        num = Fraction(sign)
-        for alpha in tops:
-            num *= alpha - a - (1 if not bar else 0)
-        den = Fraction(1)
-        for l, alpha in enumerate(subs, start=1):
-            if l == r:
-                continue
-            den *= a - alpha + (1 if not bar else -1)
-        nums[idx] = float(num)
-        dens[idx] = float(den)
+    def cleared(tops, subs):
+        sign, num, den = _m_factors(tops, subs, r, bar)
+        return math.prod(num, start=sign), math.prod(den)
+
+    nums, dens = _per_branch(rep, cleared).T
     return nums, dens
 
 
 def cbar_diagonal(rep: Representation, k: int) -> np.ndarray:
     """Closed-form Cbar_{k,n+1} value per basis vector (row-n labels)."""
-    n = rep.N - 1
-    tops = _top_roots(rep.weight)
-    out = np.zeros(rep.dim)
-    for idx, pat in enumerate(rep.patterns):
-        subs = [pat.row(n)[l - 1] + n - l for l in range(1, n + 1)]
-        value = Fraction(1)
-        for p, alpha in enumerate(tops, start=1):
-            if p == k:
-                continue
-            value /= tops[k - 1] - alpha
-        for alpha in subs:
-            value *= tops[k - 1] - alpha
-        out[idx] = float(value)
-    return out
+    degenerate = f"coincident characteristic roots of {rep.weight}"
+    return _per_branch(rep, lambda tops, subs: _factor_ratio(
+        _c_factors(tops, subs, k, bar=True), degenerate))

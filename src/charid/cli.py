@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .kernel import DimensionError, DomainError, Surd, Tolerance, to_rational
+from .kernel import DomainError, Tolerance, to_rational
 from .glrep import Representation
 from .charident import KIND_A, KIND_ABAR, char_roots
 from .superglmn import (
@@ -37,7 +38,7 @@ _ALGEBRA_RE = re.compile(r"^gl(\d+)(?:\|(\d+))?$")
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One parsed CLI job; round-trips through its dict form."""
+    """One parsed CLI job."""
 
     command: str
     algebra: str
@@ -47,13 +48,6 @@ class JobSpec:
     tolerance: float | None = None
     output: str | None = None
     format: str = "json"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "JobSpec":
-        return JobSpec(**data)
 
 
 def parse_algebra(text: str):
@@ -135,6 +129,8 @@ def render_json(value) -> str:
         elif isinstance(v, (int, np.integer)):
             parts.append(str(int(v)))
         elif isinstance(v, (float, np.floating)):
+            if not math.isfinite(v):
+                raise DomainError(f"cannot serialize non-finite float {float(v)}")
             parts.append("%.17g" % float(v))
         elif isinstance(v, Fraction):
             parts.append(json.dumps(str(v)))
@@ -156,24 +152,15 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _matrix_triplets(matrix, exact: dict | None = None) -> list[list]:
-    """Sparse (row, col, value) triplets; exact entries override decimals."""
-    out = []
-    rows, cols = matrix.shape
-    for r in range(rows):
-        for c in range(cols):
-            if exact is not None:
-                surd = exact.get((r, c))
-                if surd is not None:
-                    out.append([r, c, str(surd)])
-                continue
-            value = matrix[r, c]
-            if value != 0.0:
-                out.append([r, c, float(value)])
-    return out
+def _matrix_triplets(matrix) -> list[list]:
+    """Sparse (row, col, value) triplets of the nonzero entries, in
+    row-major order."""
+    rows, cols = np.nonzero(matrix)
+    return [list(t) for t in zip(rows.tolist(), cols.tolist(),
+                                 matrix[rows, cols].tolist())]
 
 
-def _rational_triplets(matrix, values) -> list[list]:
+def _rational_triplets(values) -> list[list]:
     out = []
     for idx, value in enumerate(values):
         if value != 0:
@@ -186,12 +173,12 @@ def _gl_rep_payload(spec: JobSpec, rep: Representation) -> dict:
 
     basis = [{"ordinal": i, "rows": [[str(x) for x in row] for row in p.rows]}
              for i, p in enumerate(rep.patterns)]
+    weights = [pattern_weight(p) for p in rep.patterns]
     generators = []
     for i, j in rep.generator_labels():
         mat = rep.gen(i, j)
         if i == j:
-            values = [pattern_weight(p)[i - 1] for p in rep.patterns]
-            triplets = _rational_triplets(mat, values)
+            triplets = _rational_triplets(w[i - 1] for w in weights)
             kind = "diagonal"
         elif abs(i - j) == 1:
             k = min(i, j)
@@ -200,7 +187,7 @@ def _gl_rep_payload(spec: JobSpec, rep: Representation) -> dict:
                 exact = surds
             else:
                 exact = {(c, r): s for (r, c), s in surds.items()}
-            triplets = sorted(_matrix_triplets(mat, exact=exact))
+            triplets = [[r, c, str(s)] for (r, c), s in sorted(exact.items())]
             kind = "elementary"
         else:
             triplets = _matrix_triplets(mat)
@@ -228,15 +215,12 @@ def _super_rep_payload(spec: JobSpec, m: int, n: int) -> dict:
     generators = []
     for p, q in sorted(gens):
         mat = gens[(p, q)]
-        triplets = [[r, c, int(mat[r, c])]
-                    for r in range(m + n) for c in range(m + n)
-                    if mat[r, c] != 0]
         generators.append({
             "name": f"a_{p}_{q}",
             "kind": "vector",
             "rows": m + n,
             "cols": m + n,
-            "triplets": triplets,
+            "triplets": _matrix_triplets(mat),
         })
     return {
         "schema": SCHEMA_VERSION,
@@ -380,7 +364,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[spec.command](spec)
-    except (DomainError, DimensionError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

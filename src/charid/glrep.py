@@ -222,15 +222,6 @@ class Representation:
                 self._gen[(j, i)] = freeze(mat.T.copy())
 
 
-def build_generator(labels, i: int, j: int) -> np.ndarray:
-    """Matrix of a_{ij} on the module with the given highest weight.
-
-    Convenience wrapper; build a Representation once when several
-    generators of the same module are needed.
-    """
-    return Representation(labels).gen(i, j)
-
-
 def gl_block_matrix(rep: Representation, kind: str = "A",
                     level: int | None = None) -> np.ndarray:
     """(s*d) x (s*d) matrix with generator blocks, s = level (default N).

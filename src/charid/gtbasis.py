@@ -112,9 +112,6 @@ class GTPattern:
         """Label at level k, position i (both 1-based)."""
         return self.row(k)[i - 1]
 
-    def top(self) -> Weight:
-        return self.rows[0]
-
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.rows for x in row)
 

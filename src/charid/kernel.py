@@ -14,9 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Arbitrary-precision rational scalar; always lowest terms, denominator > 0.
-Rational = Fraction
-
 
 class DimensionError(ValueError):
     """Matrix shapes do not conform to the requested operation."""
@@ -54,9 +51,7 @@ def to_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise DomainError(f"not an exact rational: {value!r}")
 
@@ -128,8 +123,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0):
-            raise DomainError("tolerance components must be strictly positive")
+        if not all(0 < eps < math.inf for eps in (self.abs_eps, self.rel_eps)):
+            raise DomainError("tolerance components must be finite and strictly positive")
 
     def threshold(self, scale: float = 0.0) -> float:
         return self.abs_eps + self.rel_eps * scale

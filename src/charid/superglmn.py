@@ -23,7 +23,7 @@ from .kernel import (
     max_abs,
     to_rational,
 )
-from .charident import KIND_A, KIND_ABAR, ResidualReport, Root
+from .charident import KIND_A, KIND_ABAR, ResidualReport, Root, _root_product
 
 TYPICAL = "typical-type1"
 ATYPICAL = "atypical-type1"
@@ -206,13 +206,7 @@ def verify_super_identity(m: int, n: int, kind: str,
     lam = super_vector_weight(m, n)
     roots = super_char_roots(lam, kind)
     big = super_char_matrix(m, n, kind, convention)
-    d = big.shape[0]
-    product = np.eye(d)
-    scale = 0.0
-    for root in sorted(roots, key=lambda ro: ro.value):
-        factor = big - float(root.value) * np.eye(d)
-        scale = max(scale, max_abs(factor))
-        product = product @ factor
+    product, scale = _root_product(big, sorted(root.value for root in roots))
     residual = max_abs(product)
     threshold = tol.threshold(scale)
     label = convention or FROZEN_CONVENTION[kind]

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from charid.cli import JobSpec, main, parse_algebra, parse_weight, render_json
+from charid.cli import main, parse_algebra, parse_weight, render_json
+from charid.glrep import Representation
+from charid.kernel import DomainError
 from charid.superglmn import SuperWeight
 
 
@@ -25,12 +28,6 @@ def test_parse_weight_super_both_syntaxes():
     assert piped == flat == SuperWeight((1, 0), (0,))
 
 
-def test_jobspec_roundtrip():
-    spec = JobSpec(command="verify", algebra="gl3", weight="2,1,0",
-                   suite="identity", tolerance=1e-8)
-    assert JobSpec.from_dict(spec.to_dict()) == spec
-
-
 def test_rep_json_payload(capsys):
     code, out, _ = run(capsys, "rep", "--algebra", "gl3", "--weight", "2,1,0")
     assert code == 0
@@ -49,6 +46,21 @@ def test_rep_defining_gl2_triplets(capsys):
     assert gens["a_1_2"]["triplets"] == [[0, 1, "1*sqrt(1/1)"]]
     assert gens["a_2_1"]["triplets"] == [[1, 0, "1*sqrt(1/1)"]]
     assert gens["a_1_1"]["triplets"] == [[0, 0, "1"]]
+
+
+def test_rep_triplets_list_every_nonzero_entry(capsys):
+    # loop reference for the export: row-major nonzero entries, with the
+    # commutator-built generators as decimals equal to the float matrix
+    rep = Representation((2, 1, 0))
+    _, out, _ = run(capsys, "rep", "--algebra", "gl3", "--weight", "2,1,0")
+    for gen in json.loads(out)["generators"]:
+        i, j = (int(x) for x in gen["name"].split("_")[1:])
+        mat = rep.gen(i, j)
+        entries = [[r, c] for r in range(rep.dim) for c in range(rep.dim)
+                   if mat[r, c] != 0]
+        assert [t[:2] for t in gen["triplets"]] == entries
+        if abs(i - j) >= 2:
+            assert [t[2] for t in gen["triplets"]] == [mat[r, c] for r, c in entries]
 
 
 def test_rep_rejects_non_dominant(capsys):
@@ -110,6 +122,28 @@ def test_verify_tolerance_env(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--algebra", "gl3", "--weight", "2,1,0",
                      "--suite", "identity")
     assert code == 0
+    monkeypatch.setenv("CHARID_TOLERANCE", "inf")
+    code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight",
+                         "2,1,0", "--suite", "identity")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_verify_infinite_tolerance_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight",
+                         "2,1,0", "--suite", "identity", "--tolerance", "inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    for argv in (("verify", "--suite", "identity"), ("rep",)):
+        code, _, err = run(capsys, *argv, "--algebra", "gl3", "--weight",
+                           "2,1,0", "--output", str(target))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_verify_invariants_suite_serializes(capsys):
@@ -173,3 +207,6 @@ def test_classify_needs_super_algebra(capsys):
 def test_render_json_float_format():
     assert render_json({"x": 0.1}) == '{"x": 0.10000000000000001}\n'
     assert render_json([1, "a", None, True]) == '[1, "a", null, true]\n'
+    for value in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
+        with pytest.raises(DomainError):
+            render_json({"residual": value})

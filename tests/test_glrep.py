@@ -33,11 +33,6 @@ def test_defining_rep_gl2_is_elementary_matrices():
     assert np.array_equal(rep.gen(2, 2), np.diag([0.0, 1.0]))
 
 
-def test_build_generator_wrapper():
-    from charid.glrep import build_generator
-    assert np.array_equal(build_generator((1, 0), 1, 2), unit(2, 1, 2))
-
-
 def test_defining_rep_gl3_is_elementary_matrices():
     # includes a_13 built as a nested commutator
     rep = Representation((1, 0, 0))

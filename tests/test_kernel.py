@@ -150,6 +150,11 @@ def test_surd_invariants_enforced():
 def test_tolerance_validation_and_scale():
     with pytest.raises(DomainError):
         Tolerance(abs_eps=0.0)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            Tolerance(abs_eps=value)
+        with pytest.raises(DomainError):
+            Tolerance(rel_eps=value)
     tol = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
     big = np.full((2, 2), 1e6)
     noise = np.full((2, 2), 1e-7)
