@@ -117,14 +117,20 @@ class Tolerance:
 
     A matrix M counts as zero when max|M_ij| <= abs_eps + rel_eps * scale,
     where scale is the largest absolute entry among the reference inputs.
+    Each component lies in (0, MAX_EPS]: a larger one would let every
+    residual check pass and so show nothing.
     """
+
+    MAX_EPS = 1e-3
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < eps < math.inf for eps in (self.abs_eps, self.rel_eps)):
-            raise DomainError("tolerance components must be finite and strictly positive")
+        if not all(0 < eps <= self.MAX_EPS for eps in (self.abs_eps, self.rel_eps)):
+            raise DomainError(
+                f"tolerance components must be finite, strictly positive and "
+                f"at most {self.MAX_EPS:g}")
 
     def threshold(self, scale: float = 0.0) -> float:
         return self.abs_eps + self.rel_eps * scale

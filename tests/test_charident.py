@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,14 +12,19 @@ from charid.kernel import (
     Tolerance,
     max_abs,
 )
-from charid.gtbasis import branch, dimension, enumerate_patterns, weight
+from charid.gtbasis import (
+    branch, dimension, enumerate_patterns, is_dominant, pattern_weight, weight)
 from charid.glrep import Representation
 from charid.charident import (
     KIND_A,
     KIND_ABAR,
     KIND_GENERAL,
+    Blocks,
+    CharMatrix,
     DualVectorRep,
     Root,
+    _blocked_product,
+    _components,
     build_char_matrix,
     build_projector,
     cbar_diagonal,
@@ -348,3 +354,86 @@ def test_restricted_projectors_resolve_branches():
         assert max_abs(p @ p - p) < 1e-10
     total = sum(restricted_projector(rep, n, r, KIND_ABAR) for r in (1, 2))
     assert max_abs(total - np.eye(n * rep.dim)) < 1e-10
+
+
+# Every dominant gl(1..4) weight with labels <= 3, plus two gl(5) weights
+# large enough that their characteristic matrices split into many blocks.
+BLOCK_SWEEP = [
+    lam for n in range(1, 5)
+    for lam in itertools.product(range(3, -1, -1), repeat=n) if is_dominant(lam)
+] + [(4, 1, 1, 1, 0), (3, 2, 1, 0, 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_rep(lam):
+    return Representation(lam)
+
+
+def _dense_product(big, nodes, target=None):
+    """Reference ordered product on the dense matrix, one factor at a time."""
+    eye = np.eye(big.shape[0])
+    out = eye
+    for node in nodes:
+        out = out @ (big - float(node) * eye)
+        if target is not None:
+            out = out / float(target - node)
+    return out
+
+
+@pytest.mark.parametrize("lam", BLOCK_SWEEP, ids=str)
+def test_blocked_products_match_dense_reference(lam):
+    rep = _sweep_rep(lam)
+    for kind in (KIND_A, KIND_ABAR):
+        cm = build_char_matrix(rep, kind)
+        spectrum = char_roots(lam, kind)
+        layouts = (cm.blocks, Blocks.split(cm.big, _components(cm.big)))
+        values = sorted({root.value for root in spectrum})
+        reference = _dense_product(cm.big, values)
+        for layout in layouts:
+            blocked, _ = _blocked_product(layout, values)
+            assert max_abs(blocked.dense() - reference) <= 1e-12, (lam, kind)
+        present = [root.value for root in spectrum if root.multiplicity > 0]
+        for r, root in enumerate(spectrum, start=1):
+            if root.multiplicity == 0:
+                reference = np.zeros(cm.big.shape)
+            else:
+                reference = _dense_product(
+                    cm.big, [v for v in present if v != root.value], root.value)
+            projector = build_projector(cm, spectrum, r)
+            forced, _ = _blocked_product(
+                layouts[1], [v for v in present if v != root.value], root.value)
+            for matrix in (projector.matrix, forced.dense()):
+                assert max_abs(matrix - reference) <= 1e-12, (lam, kind, r)
+            assert projector.rank == int(round(np.trace(reference))), (lam, kind, r)
+            assert projector.rank == root.multiplicity
+
+
+def test_blocks_keep_an_entry_joining_two_blocks():
+    rep = _sweep_rep((3, 2, 1, 0))
+    cm = build_char_matrix(rep, KIND_A)
+    spectrum = char_roots(rep.weight, KIND_A)
+    assert verify_identity(cm, spectrum)[0].passed
+    first, second = cm.blocks.index[-1][0], cm.blocks.index[-2][0]
+    bad = cm.big.copy()
+    bad[first[0], second[0]] = 0.5
+    corrupted = CharMatrix(cm.kind, cm.weight, cm.block_count, cm.block_size, bad)
+    assert len(corrupted.blocks.index[-1][0]) == len(first) + len(second)
+    assert np.array_equal(corrupted.blocks.dense(), bad)
+    assert not verify_identity(corrupted, spectrum)[0].passed
+
+
+@pytest.mark.parametrize("lam", BLOCK_SWEEP, ids=str)
+def test_blocks_follow_the_weight_grading(lam):
+    """A state (i, v) is graded by wt(v) - e_i for kind A and by wt(v) + e_i
+    for kind Abar; each block lies within one grade."""
+    rep = _sweep_rep(lam)
+    d = rep.dim
+    weights = np.array([[float(x) for x in pattern_weight(p)] for p in rep.patterns])
+    unit = np.eye(rep.N)
+    for kind, sign in ((KIND_A, -1), (KIND_ABAR, 1)):
+        index = _components(build_char_matrix(rep, kind).big)
+        grade = np.concatenate([weights + sign * unit[i] for i in range(rep.N)])
+        for table in index:
+            assert np.all(grade[table] == grade[table[:, :1]]), (lam, kind)
+        states = np.sort(np.concatenate([table.ravel() for table in index]))
+        assert np.array_equal(states, np.arange(rep.N * d)), (lam, kind)

@@ -136,6 +136,18 @@ def test_verify_infinite_tolerance_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_verify_vacuous_tolerance_is_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight",
+                         "2,1,0", "--suite", "identity", "--tolerance", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at most" in err
+    monkeypatch.setenv("CHARID_TOLERANCE", "1e300")
+    code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight",
+                         "2,1,0", "--suite", "identity")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at most" in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     for argv in (("verify", "--suite", "identity"), ("rep",)):

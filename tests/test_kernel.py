@@ -162,6 +162,18 @@ def test_tolerance_validation_and_scale():
     assert not tol.is_zero(noise)
 
 
+def test_tolerance_rejects_vacuous_components():
+    with pytest.raises(DomainError):
+        Tolerance(rel_eps=1.0)
+    for value in (2e-3, 1.0, 1e300):
+        with pytest.raises(DomainError):
+            Tolerance(abs_eps=value)
+        with pytest.raises(DomainError):
+            Tolerance(rel_eps=value)
+    for value in (Tolerance.MAX_EPS, 1e-9, 1e-30):
+        assert Tolerance(abs_eps=value, rel_eps=value).threshold() == value
+
+
 def test_rationalize_roundtrip_and_failure():
     tol = Tolerance()
     assert rationalize(1.5, tol) == Fraction(3, 2)
