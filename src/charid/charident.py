@@ -61,9 +61,13 @@ class Root:
 
 # Below this many rows one dense product costs less than finding the
 # components and looping over their stacks, so such a matrix is held as a
-# single block.  Identity products measured on 2 vCPUs, dense against
-# blocked: 24 rows 45 us against 230 us, 80 rows 145 us against 295 us,
-# 144 rows 850 us against 400 us.
+# single block.  Measured on 2 vCPUs, whole against split (split included):
+# identity products 81 rows 0.09/0.26 ms, 105 rows 0.18/0.22, 120 rows
+# 0.45/0.40, 144 rows 0.68/0.28; restricted projectors (operator nodes)
+# 96 rows 1.0/1.4, 105 rows 2.3/1.8, 135 rows 1.0/1.3, 160 rows 4.0/1.9.
+# Between 96 and 144 rows lie only the benchmark's invariants jobs on
+# gl(5) dim 24, gl(6) dim 21 and gl(4) dim 45, where either layout costs
+# under 1 ms of a 20-30 ms suite; dense-verify matrices have 800+ rows.
 DENSE_BELOW = 128
 
 
@@ -124,7 +128,14 @@ class Blocks:
     def like(self, stacks) -> "Blocks":
         return Blocks(self.size, self.index, tuple(stacks))
 
+    @property
+    def whole(self) -> bool:
+        """One block covering the whole matrix, in index order."""
+        return len(self.stacks) == 1 and self.stacks[0].shape[0] == 1
+
     def dense(self) -> np.ndarray:
+        if self.whole:
+            return self.stacks[0][0]
         out = np.zeros((self.size, self.size))
         for i, stack in zip(self.index, self.stacks):
             out[i[:, :, None], i[:, None, :]] = stack
@@ -158,9 +169,9 @@ class Projector:
     root: Root
     blocks: Blocks
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The projector as a dense matrix, assembled from its blocks."""
+        """The projector as a dense matrix, assembled from its blocks once."""
         return self.blocks.dense()
 
     @property
@@ -363,7 +374,8 @@ def _root_product(big: np.ndarray, nodes, target=None
             quotient = np.asarray(target - node, dtype=float)
             product /= quotient[..., None, :] if quotient.ndim else quotient
     if product is None:
-        product = np.broadcast_to(np.eye(size), big.shape).copy()
+        product = np.empty(big.shape)
+        product[...] = np.eye(size)
     return product, scale
 
 
@@ -372,8 +384,12 @@ def _blocked_product(blocks: Blocks, nodes, target=None
     """_root_product on each stack of equal-size blocks.
 
     Scalar nodes apply to every block; an operator node is a dense diagonal
-    (float vector of length blocks.size) and is cut into the blocks.
+    (float vector of length blocks.size) and is cut into the blocks.  A
+    single whole block is multiplied as the plain matrix.
     """
+    if blocks.whole:
+        product, scale = _root_product(blocks.stacks[0][0], nodes, target)
+        return blocks.like((product[None],)), scale
     stacks, scale = [], 0.0
     for index, stack in zip(blocks.index, blocks.stacks):
         def cut(node):
@@ -494,19 +510,19 @@ class ShiftComponents:
     cross_components: tuple[np.ndarray, ...]
     contraction_residual: float
     support_residual: float
+    p: np.ndarray
+    pbar: np.ndarray
 
 
 def shift_components(rep: Representation, r: int,
-                     tol: Tolerance | None = None,
-                     projectors: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> ShiftComponents:
+                     tol: Tolerance | None = None) -> ShiftComponents:
     """Project the vector operator psi_j = a_{j,n+1} onto its r-th component.
 
     Both contraction routes are computed, psi_i Pbar[n;r]_{ij} and
     P[n;r]_{ji} psi_i; their disagreement and the off-shift support (entries
     connecting row-n weights other than mu -> mu + D_r) are reported as
-    residuals.  projectors, when given, are the restricted projectors
-    (P[n;r], Pbar[n;r]) already built by the caller.
+    residuals.  The restricted projectors P[n;r] and Pbar[n;r] built on the
+    way are handed back as p and pbar.
     """
     n = rep.N - 1
     if n < 1:
@@ -515,10 +531,8 @@ def shift_components(rep: Representation, r: int,
         raise DomainError(f"component index {r} outside 1..{n}")
     d = rep.dim
     psi = [rep.gen(j, rep.N) for j in range(1, n + 1)]
-    if projectors is None:
-        projectors = (restricted_projector(rep, n, r, KIND_A),
-                      restricted_projector(rep, n, r, KIND_ABAR))
-    p, pbar = projectors
+    p = restricted_projector(rep, n, r, KIND_A)
+    pbar = restricted_projector(rep, n, r, KIND_ABAR)
     components = []
     cross = []
     for j in range(1, n + 1):
@@ -544,7 +558,7 @@ def shift_components(rep: Representation, r: int,
                 if rows_n[row] != tuple(expected):
                     support = max(support, entry)
     return ShiftComponents(r, tuple(components), tuple(cross),
-                           contraction, support)
+                           contraction, support, p, pbar)
 
 
 # ---------------------------------------------------------------------------

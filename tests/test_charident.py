@@ -248,6 +248,19 @@ def test_shift_components_completeness_and_consistency():
         assert max_abs(total - rep.gen(j + 1, 3)) < 1e-10
 
 
+def test_shift_components_hand_back_their_projectors():
+    # (3,3,2,0) restricts to 135 rows, above DENSE_BELOW: split into blocks
+    for lam in [(2, 1, 0), (3, 3, 2, 0)]:
+        rep = Representation(lam)
+        n = rep.N - 1
+        for r in range(1, n + 1):
+            sc = shift_components(rep, r)
+            for kind, projector in ((KIND_A, sc.p), (KIND_ABAR, sc.pbar)):
+                expected = restricted_projector(rep, n, r, kind)
+                assert projector.shape == (n * rep.dim, n * rep.dim)
+                assert np.array_equal(projector, expected), (lam, r, kind)
+
+
 def test_shift_component_zero_when_shift_forbidden():
     rep = Representation((1, 1))
     sc = shift_components(rep, 1)
