@@ -545,20 +545,23 @@ def shift_components(rep: Representation, r: int,
         cross.append(alt)
     contraction = max(
         max_abs(c - a) for c, a in zip(components, cross))
-    rows_n = [tuple(pat.row(n)) for pat in rep.patterns]
-    support = 0.0
-    for comp in components:
-        for row in range(d):
-            for col in range(d):
-                entry = float(abs(comp[row, col]))
-                if entry == 0.0:
-                    continue
-                expected = list(rows_n[col])
-                expected[r - 1] += 1
-                if rows_n[row] != tuple(expected):
-                    support = max(support, entry)
-    return ShiftComponents(r, tuple(components), tuple(cross),
-                           contraction, support, p, pbar)
+    return ShiftComponents(r, tuple(components), tuple(cross), contraction,
+                           _support_residual(rep, r, components), p, pbar)
+
+
+def _support_residual(rep: Representation, r: int, components) -> float:
+    """Largest |entry| of the components off the shift mu -> mu + D_r of
+    row n.  Each distinct row n gets an id (exact Fraction equality); a
+    column may reach only the row whose id is that of its row n + e_r, or
+    none (id -1) when that row is not a branch."""
+    n = rep.N - 1
+    ids: dict[tuple, int] = {}
+    rows_n = [pat.row(n) for pat in rep.patterns]
+    row_id = np.array([ids.setdefault(row, len(ids)) for row in rows_n])
+    target = np.array([
+        ids.get(row[:r - 1] + (row[r - 1] + 1,) + row[r:], -1) for row in rows_n])
+    off_shift = row_id[:, None] != target[None, :]
+    return max(max_abs(comp[off_shift]) for comp in components)
 
 
 # ---------------------------------------------------------------------------

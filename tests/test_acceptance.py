@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from charid.kernel import Tolerance, commutator, max_abs
-from charid.gtbasis import branch, dimension, weight
+from charid.gtbasis import branch, dimension, format_weight, weight
 from charid.glrep import (
     Representation,
     casimir_eigenvalue_formula,
@@ -48,6 +48,7 @@ from charid.superglmn import (
     vector_rep_relations_hold,
 )
 from charid.cli import main as cli_main
+from charid.verify import run_suite
 
 
 def dominant_sweep(n, top=3):
@@ -330,3 +331,76 @@ def test_criterion_10_negative_controls(reps, capsys):
                          "--suite", "identity", "--tolerance", "1e-30"])
         capsys.readouterr()
         assert code == 1
+
+
+# The six dense-verify shapes of the benchmark (gl(4) dims 216 and 224,
+# gl(5) dim 160): each generator there is over 99% zeros.
+DENSE_VERIFY_SHAPES = [(6, 6, 5, 0), (6, 1, 0, 0), (5, 5, 3, 0), (5, 2, 0, 0),
+                       (4, 3, 3, 3, 0), (4, 1, 1, 1, 0)]
+
+
+def dense_relations(rep, tol):
+    """Reference for the relations suite: every generator pair as a dense
+    commutator, returning (residual, threshold, pairs)."""
+    worst = scale = 0.0
+    pairs = 0
+    idx = range(1, rep.N + 1)
+    for i, j, k, l in itertools.product(idx, idx, idx, idx):
+        lhs = commutator(rep.gen(i, j), rep.gen(k, l))
+        rhs = np.zeros_like(lhs)
+        if k == j:
+            rhs = rhs + rep.gen(i, l)
+        if i == l:
+            rhs = rhs - rep.gen(k, j)
+        worst = max(worst, max_abs(lhs - rhs))
+        scale = max(scale, max_abs(lhs), max_abs(rhs))
+        pairs += 1
+    return worst, tol.threshold(scale), pairs
+
+
+def _relations_check(rep, tol=Tolerance()):
+    (check,) = run_suite("relations", rep=rep, tol=tol).checks
+    return check
+
+
+def _assert_matches_dense(rep, tol=Tolerance()):
+    """Products are summed in another order than the dense matmul, so each
+    sum may differ in its last bit: the residual by at most 1e-15, and the
+    threshold, rel_eps = 1e-9 times a scale below 8 (ulp at most 8.9e-16),
+    by at most 8.9e-25."""
+    check = _relations_check(rep, tol)
+    worst, threshold, pairs = dense_relations(rep, tol)
+    assert abs(check.residual - worst) <= 1e-15, rep.weight
+    assert abs(check.threshold - threshold) <= 1e-24, rep.weight
+    assert check.description == (f"defining relations on {format_weight(rep.weight)}, "
+                                 f"worst of {pairs} generator pairs")
+    assert check.passed == (worst <= threshold)
+    return check
+
+
+def test_relations_suite_matches_dense_loop(reps):
+    for rep in reps.values():
+        assert _assert_matches_dense(rep).passed
+    for lam in DENSE_VERIFY_SHAPES:
+        assert _assert_matches_dense(Representation(lam)).passed
+
+
+@pytest.mark.parametrize("where", ["nonzero", "zero"])
+def test_relations_suite_fails_on_a_wrong_entry(where):
+    """One entry of a_{1,3} of (2,1,0), which is built as a commutator,
+    moved by 1e-3 where it was nonzero, or set where it was zero."""
+    rep = Representation((2, 1, 0))
+    matrix = rep.gen(1, 3).copy()
+    entry = tuple(np.argwhere((matrix != 0) == (where == "nonzero"))[0])
+    matrix[entry] += 1e-3
+    rep._gen[(1, 3)] = matrix
+    check = _assert_matches_dense(rep)
+    assert not check.passed and check.residual > 1e-4
+
+
+@pytest.mark.parametrize("lam", [(0, 0, 0), (0,), (3,), (Fraction(-5, 2),)], ids=str)
+def test_relations_suite_on_trivial_and_gl1_modules(lam):
+    rep = Representation(lam)
+    check = _relations_check(rep)
+    assert check.residual == 0.0 and check.passed
+    assert check.description.endswith(f"worst of {rep.N ** 4} generator pairs")

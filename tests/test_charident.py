@@ -25,6 +25,7 @@ from charid.charident import (
     Root,
     _blocked_product,
     _components,
+    _support_residual,
     build_char_matrix,
     build_projector,
     cbar_diagonal,
@@ -450,3 +451,45 @@ def test_blocks_follow_the_weight_grading(lam):
             assert np.all(grade[table] == grade[table[:, :1]]), (lam, kind)
         states = np.sort(np.concatenate([table.ravel() for table in index]))
         assert np.array_equal(states, np.arange(rep.N * d)), (lam, kind)
+
+
+def _loop_support_residual(rep, r, components):
+    """Reference for the support residual: every entry of every component,
+    one at a time, against the row n of its column shifted by e_r."""
+    n = rep.N - 1
+    rows_n = [tuple(pat.row(n)) for pat in rep.patterns]
+    support = 0.0
+    for comp in components:
+        for row in range(rep.dim):
+            for col in range(rep.dim):
+                entry = float(abs(comp[row, col]))
+                if entry == 0.0:
+                    continue
+                expected = list(rows_n[col])
+                expected[r - 1] += 1
+                if rows_n[row] != tuple(expected):
+                    support = max(support, entry)
+    return support
+
+
+@pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if 2 <= len(lam) <= 4],
+                         ids=str)
+def test_support_residual_matches_loop_reference(lam):
+    rep = _sweep_rep(lam)
+    for r in range(1, rep.N):
+        sc = shift_components(rep, r)
+        assert sc.support_residual == _loop_support_residual(rep, r, sc.components)
+
+
+def test_support_residual_sees_an_injected_off_shift_entry():
+    rep = _sweep_rep((2, 1, 0))
+    comps = list(shift_components(rep, 1).components)
+    assert _support_residual(rep, 1, comps) < 1e-12
+    rows_n = [pat.row(2) for pat in rep.patterns]
+    # a_{1,3} may move row 2 from (1, 0) to (2, 0) only; (1, 0) -> (1, 1) is off the shift
+    row = rows_n.index((1, 1))
+    col = rows_n.index((1, 0))
+    comps[0] = comps[0].copy()
+    comps[0][row, col] = -0.25
+    assert _support_residual(rep, 1, comps) == 0.25
+    assert _loop_support_residual(rep, 1, comps) == 0.25

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,17 @@ def test_render_json_float_format():
     for value in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
         with pytest.raises(DomainError):
             render_json({"residual": value})
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the CLI is the start-up cost of every command; the checks
+    use numpy only, and scipy would add its import time to each."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, charid.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
