@@ -5,11 +5,19 @@ a_{k,k+1} have closed-form ladder coefficients (square roots of rationals,
 kept exact as Surds alongside the float matrices), lowering generators are
 their transposes, and the remaining generators are nested commutators
 a_{i,j} = [a_{i,j-1}, a_{j-1,j}], which fixes every phase constructively.
+
+A module is built on the integer pattern table of gtbasis.pattern_table:
+every ladder factor is a difference of labels plus an integer, hence an
+integer, and each level's coefficients are computed for all patterns at
+once.  elementary_coefficient and nonelementary_coefficient are the scalar
+forms of the same closed formulas, on one GTPattern at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +39,12 @@ from .gtbasis import (
     GTPattern,
     Weight,
     check_highest_weight,
-    enumerate_patterns,
+    enumerate_patterns,  # unused here, kept as a name the benchmark's tracer wraps
     pattern_ordinals,
-    pattern_weight,
+    pattern_table,
+    pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
+    row_starts,
+    table_patterns,
     weight,
 )
 
@@ -163,24 +174,61 @@ def nonelementary_coefficient(pattern: GTPattern, l: int, n: int,
     return Surd.sqrt(value)
 
 
+def _exact_ratios(sign: int, num: np.ndarray, den: np.ndarray):
+    """sign * prod(num[i]) / prod(den[i]) for each row of two integer factor
+    arrays, the denominator factors all positive.
+
+    Returns (numerators, denominators, quotients): the exact products and
+    each quotient as the correctly rounded float, equal to
+    float(Fraction(numerator, denominator)).  While no product can reach
+    2**53 they are int64 and the quotient is one float64 division of exact
+    conversions; otherwise the whole batch is taken in Python ints, whose
+    true division is correctly rounded too.
+    """
+    largest = max(int(np.abs(a).max(initial=1)) for a in (num, den))
+    if largest ** max(num.shape[1], den.shape[1]) < 2 ** 53:
+        p, q = sign * num.prod(axis=1), den.prod(axis=1)
+        return p, q, p / q
+    p = [sign * math.prod(row) for row in num.tolist()]
+    q = [math.prod(row) for row in den.tolist()]
+    return (np.array(p, dtype=object), np.array(q, dtype=object),
+            np.array([a / b for a, b in zip(p, q)], dtype=float))
+
+
 class Representation:
     """All generator matrices of one irreducible gl(N) module.
 
-    Immutable after construction.  Float matrices for the elementary
-    raising generators carry an exact Surd sidecar keyed by (row, column)
-    ordinal so squared-norm identities can be checked in rational
-    arithmetic.
+    Immutable after construction.  The basis is held as `table`, the int64
+    pattern table (gtbasis.pattern_table).  `patterns`, `ordinal` and the
+    exact Surd sidecar `raising_surds` of the elementary raising generators,
+    keyed by (row, column) ordinal so squared-norm identities can be checked
+    in rational arithmetic, are made from it on first use.
     """
 
     def __init__(self, labels):
         self.weight: Weight = check_highest_weight(weight(labels))
         self.N = len(self.weight)
-        self.patterns = enumerate_patterns(self.weight)
-        self.dim = len(self.patterns)
-        self.ordinal = pattern_ordinals(self.patterns)
-        self.raising_surds: dict[int, dict[tuple[int, int], Surd]] = {}
+        self.table = pattern_table(self.weight)
+        self.dim = len(self.table)
+        # k -> (rows, cols, numerators, denominators) of a_{k,k+1}'s squared
+        # entries, in basis order.
+        self._ladders: dict[int, tuple[np.ndarray, ...]] = {}
         self._gen: dict[tuple[int, int], np.ndarray] = {}
         self._build()
+
+    @cached_property
+    def patterns(self) -> list[GTPattern]:
+        return table_patterns(self.weight, self.table)
+
+    @cached_property
+    def ordinal(self) -> dict[GTPattern, int]:
+        return pattern_ordinals(self.patterns)
+
+    @cached_property
+    def raising_surds(self) -> dict[int, dict[tuple[int, int], Surd]]:
+        return {k: {(row, col): Surd.sqrt(Fraction(p, q))
+                    for row, col, p, q in zip(*(a.tolist() for a in ladder))}
+                for k, ladder in self._ladders.items()}
 
     def gen(self, i: int, j: int) -> np.ndarray:
         """Matrix of the generator a_{ij} (1-based indices)."""
@@ -192,34 +240,83 @@ class Representation:
         return sorted(self._gen)
 
     def _build(self):
-        d = self.dim
-        weights = [pattern_weight(p) for p in self.patterns]
+        table = self.table
+        starts = row_starts(self.N)
+        # a_kk acts by sum(row k) - sum(row k-1) = lam_N + (the same of the
+        # offsets); each value in their range goes through float() once.
+        sums = np.add.reduceat(table, starts[self.N:0:-1], axis=1)[:, ::-1]
+        offsets = sums.copy()
+        offsets[:, 1:] -= sums[:, :-1]
+        low = int(offsets.min())
+        floats = np.array([float(self.weight[-1] + v)
+                           for v in range(low, int(offsets.max()) + 1)])
+        diagonals = floats[offsets - low]
         for k in range(1, self.N + 1):
-            diag = np.zeros((d, d))
-            for c in range(d):
-                diag[c, c] = float(weights[c][k - 1])
-            self._gen[(k, k)] = freeze(diag)
+            self._gen[(k, k)] = freeze(np.diag(diagonals[:, k - 1]))
+        index = {row: c for c, row in enumerate(map(tuple, table.tolist()))}
         for k in range(1, self.N):
-            mat = np.zeros((d, d))
-            surds: dict[tuple[int, int], Surd] = {}
-            for c, p in enumerate(self.patterns):
-                for r in range(1, k + 1):
-                    q = p.shifted(k, r)
-                    if q is None:
-                        continue
-                    coeff = elementary_coefficient(p, k, r)
-                    row = self.ordinal[q]
-                    mat[row, c] = float(coeff)
-                    surds[(row, c)] = coeff
-            self.raising_surds[k] = surds
-            self._gen[(k, k + 1)] = freeze(mat)
-            self._gen[(k + 1, k)] = freeze(mat.T.copy())
+            self._gen[(k, k + 1)] = freeze(self._raising(k, starts, index))
+            self._gen[(k + 1, k)] = freeze(self._gen[(k, k + 1)].T.copy())
         for span in range(2, self.N):
             for i in range(1, self.N - span + 1):
                 j = i + span
                 mat = commutator(self._gen[(i, j - 1)], self._gen[(j - 1, j)])
                 self._gen[(i, j)] = freeze(mat)
                 self._gen[(j, i)] = freeze(mat.T.copy())
+
+    def _raising(self, k: int, starts, index) -> np.ndarray:
+        """a_{k,k+1} from the ladder coefficients of every admissible
+        (pattern, r); its exact squares are kept in _ladders[k].
+
+        The factors are those of _squared_coefficient_factors on label
+        offsets.  With x the shifted label, each is s * (label - x + r) + c:
+        up[p] - x + r - p, x - low[l] + l - r + 1, and t = x - mid[l] + l - r,
+        whose pair t(t + 1) for l != r is one denominator factor: t and t + 1
+        are never both zero, so the pair has as many zero factors as the two,
+        and a nonzero pair is positive.
+        """
+        table = self.table
+        up = table[:, starts[k + 1]:starts[k + 1] + k + 1]
+        mid = table[:, starts[k]:starts[k] + k]
+        low = table[:, starts[k - 1]:starts[k - 1] + k - 1]
+        # The mask of GTPattern.shifted(k, r) on a valid pattern, one column
+        # per r; nonzero() lists it in basis order, r fastest.
+        ok = mid < up[:, :k]
+        ok[:, 1:] &= low > mid[:, 1:]
+        cols, r = np.nonzero(ok)
+        labels = np.concatenate((up, low, mid), axis=1)[cols]
+        sign = np.repeat([1, -1, -1], [k + 1, k - 1, k])
+        shift = np.concatenate((-np.arange(1, k + 2), np.arange(2, k + 1), np.arange(1, k + 1)))
+        factors = sign * (labels - mid[cols, r][:, None] + (r[:, None] + 1)) + shift
+        num, t = factors[:, :2 * k], factors[:, 2 * k:]
+        den = t * (t + 1)
+        den[np.arange(len(cols)), r] = 1
+        # A zero denominator factor cancels one zero numerator factor; an
+        # uncancelled zero numerator factor makes the coefficient zero.
+        znum = np.count_nonzero(num == 0, axis=1)
+        zden = np.count_nonzero(den == 0, axis=1)
+        num[num == 0] = 1
+        den[den == 0] = 1
+        nums, dens, values = _exact_ratios(-1 if k % 2 else 1, num, den)
+        zero = znum > zden
+        nums[zero] = 0
+        values[zero] = 0.0
+        bad = np.flatnonzero((znum < zden) | (nums < 0))
+        if bad.size:  # the first in basis order, as the scalar path raises
+            i = bad[0]
+            if znum[i] < zden[i]:
+                raise DegeneratePatternError(
+                    f"unmatched zero denominator factor in ladder coefficient k={k} r={r[i] + 1}")
+            raise ConsistencyError(
+                f"negative squared coefficient {Fraction(int(nums[i]), int(dens[i]))} "
+                f"for admissible shift k={k} r={r[i] + 1} on {self.patterns[cols[i]].rows}")
+        targets = table[cols]
+        targets[np.arange(len(cols)), starts[k] + r] += 1
+        rows = np.array([index[row] for row in map(tuple, targets.tolist())], dtype=np.intp)
+        self._ladders[k] = (rows, cols, nums, dens)
+        mat = np.zeros((self.dim, self.dim))
+        mat[rows, cols] = np.sqrt(values)
+        return mat
 
 
 def gl_block_matrix(rep: Representation, kind: str = "A",

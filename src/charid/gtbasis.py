@@ -4,13 +4,17 @@ A dominant weight with integer label differences indexes an irreducible
 module; patterns interlacing down the chain gl(1) < gl(2) < ... < gl(n)
 enumerate its canonical orthonormal basis.  The canonical order is
 lexicographic on the rows read top row first, larger labels first, so the
-highest weight state always has ordinal 0.
+highest weight state always has ordinal 0.  pattern_table lists the basis
+as integer label offsets, the form modules are built on; GTPattern is the
+exact form, one pattern at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .kernel import DomainError, to_rational
 
@@ -163,6 +167,51 @@ def pattern_weight(p: GTPattern) -> Weight:
     return tuple(sums[k] - sums[k - 1] for k in range(1, p.size + 1))
 
 
+def row_starts(n: int) -> list[int]:
+    """Column of each level's first label in a pattern table row: entry k
+    (1 <= k <= n) is where level k starts, the top row (level n) at 0;
+    entry 0, for the empty level, is 0."""
+    starts = [0] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        starts[k] = starts[k + 1] + k + 1
+    return starts
+
+
+def pattern_table(lam) -> np.ndarray:
+    """All patterns with top row lam as a (d, n(n+1)/2) int64 table.
+
+    Row c is the c-th pattern in canonical order, its rows flattened top row
+    first; each entry is the label minus lam_n, an integer because every
+    label differs from lam_n by one.  Below a fixed upper row the labels of
+    the next row range independently over [upper[i+1], upper[i]], so each
+    label column is filled by repeating every partial pattern once per
+    value, larger values first.
+    """
+    lam = check_highest_weight(lam)
+    n = len(lam)
+    table = np.array([[int(x - lam[-1]) for x in lam]], dtype=np.int64)
+    for m in range(n, 1, -1):  # the row of length m - 1 under the last row
+        upper = table.shape[1] - m
+        for i in range(upper, upper + m - 1):
+            counts = table[:, i] - table[:, i + 1] + 1
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            table = np.repeat(table, counts, axis=0)
+            column = table[:, i] - (np.arange(len(table)) - first)
+            table = np.column_stack((table, column))
+    return table
+
+
+def table_patterns(lam: Weight, table) -> list[GTPattern]:
+    """GTPatterns of the rows of pattern_table(lam), lam already checked.
+    Labels are looked up by offset, so each Fraction is made once."""
+    n = len(lam)
+    labels = [lam[-1] + offset for offset in range(int(lam[0] - lam[-1]) + 1)]
+    starts = row_starts(n)
+    bounds = [(starts[k], starts[k] + k) for k in range(n, 0, -1)]
+    return [GTPattern(tuple(tuple(labels[o] for o in flat[a:b]) for a, b in bounds))
+            for flat in table.tolist()]
+
+
 def enumerate_patterns(lam) -> list[GTPattern]:
     """All patterns with top row lam, in canonical order.
 
@@ -170,13 +219,7 @@ def enumerate_patterns(lam) -> list[GTPattern]:
     standard sanity test on the enumeration.
     """
     lam = check_highest_weight(lam)
-    if len(lam) == 1:
-        return [GTPattern((lam,))]
-    out = []
-    for mu in branch(lam):
-        for sub in enumerate_patterns(mu):
-            out.append(GTPattern((lam,) + sub.rows))
-    return out
+    return table_patterns(lam, pattern_table(lam))
 
 
 def dimension(lam) -> int:

@@ -52,7 +52,10 @@ def to_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {value!r}") from None
     raise DomainError(f"not an exact rational: {value!r}")
 
 

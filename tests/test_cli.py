@@ -152,6 +152,17 @@ def test_verify_vacuous_tolerance_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and "at most" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "gl2", "--weight=1/0,0", "--suite", "identity"),
+    ("rep", "--algebra", "gl2", "--weight=1,0/0"),
+    ("roots", "--algebra", "gl2|1", "--weight=1/0,0|0"),
+])
+def test_zero_denominator_label_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     for argv in (("verify", "--suite", "identity"), ("rep",)):

@@ -112,6 +112,12 @@ def test_rational_coercion():
         to_rational(0.5)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_zero_denominator_is_domain_error(text):
+    with pytest.raises(DomainError, match="zero denominator"):
+        to_rational(text)
+
+
 def test_surd_multiplication_is_componentwise():
     rng = random.Random(5)
     for _ in range(100):

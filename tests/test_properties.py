@@ -1,6 +1,6 @@
-"""Property tests over random dominant gl(2..4) weights, shifted by a
-rational multiple of the identity.  Derandomized, so every run draws the
-same examples."""
+"""Property tests over random dominant weights, shifted by a rational
+multiple of the identity.  Derandomized, so every run draws the same
+examples."""
 
 from fractions import Fraction
 
@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charid.charident import alpha_bar_roots, alpha_roots
 from charid.glrep import Representation
+from charid.gtbasis import dimension, pattern_table, table_patterns, weight
 from charid.verify import run_suite
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -54,3 +56,43 @@ def test_shift_by_identity_keeps_relations(case):
     base, moved = _relations(rep), _relations(shifted)
     assert moved.threshold == pytest.approx(base.threshold, rel=1e-14)
     assert abs(moved.residual - base.residual) < 1e-14
+
+
+@st.composite
+def thirds_shifted_weights(draw):
+    """(lam, c, offset): a dominant gl(1..5) weight with labels in 0..3, an
+    integer c in -5..5 and an offset 0, 1/2 or 1/3 added to it."""
+    n = draw(st.integers(1, 5))
+    lam = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                       reverse=True))
+    c = draw(st.integers(-5, 5))
+    offset = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1, 3))))
+    return lam, c, offset
+
+
+@PROPERTY_SETTINGS
+@given(thirds_shifted_weights())
+def test_pattern_table_is_the_canonical_basis(case):
+    """One row per basis state (the Weyl dimension), rows strictly
+    descending in canonical order, and every row an interlacing pattern."""
+    lam, c, offset = case
+    lam = weight(x + c + offset for x in lam)
+    table = pattern_table(lam)
+    assert table.dtype == np.int64
+    assert len(table) == dimension(lam)
+    rows = [tuple(row) for row in table.tolist()]
+    assert all(a > b for a, b in zip(rows, rows[1:]))
+    for pattern in table_patterns(lam, table):
+        assert pattern.rows[0] == lam
+        assert pattern.is_valid()
+
+
+@PROPERTY_SETTINGS
+@given(thirds_shifted_weights())
+def test_roots_move_with_a_shift_by_identity(case):
+    """Under lam + c*1 each alpha root moves by +c, each alpha-bar root by -c."""
+    lam, c, offset = case
+    base = weight(x + offset for x in lam)
+    moved = weight(x + c for x in base)
+    assert alpha_roots(moved) == [a + c for a in alpha_roots(base)]
+    assert alpha_bar_roots(moved) == [a - c for a in alpha_bar_roots(base)]
