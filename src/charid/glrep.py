@@ -15,6 +15,7 @@ forms of the same closed formulas, on one GTPattern at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +45,10 @@ from .gtbasis import (
     pattern_table,
     pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
+    table_interlaces,
+    table_labels,
     table_patterns,
+    table_weights,
     weight,
 )
 
@@ -174,25 +178,84 @@ def nonelementary_coefficient(pattern: GTPattern, l: int, n: int,
     return Surd.sqrt(value)
 
 
-def _exact_ratios(sign: int, num: np.ndarray, den: np.ndarray):
-    """sign * prod(num[i]) / prod(den[i]) for each row of two integer factor
-    arrays, the denominator factors all positive.
+def _exact_products(sign: int, num: np.ndarray, den: np.ndarray):
+    """sign * prod(num[i]) and prod(den[i]) for each row of two integer
+    factor arrays.
 
-    Returns (numerators, denominators, quotients): the exact products and
-    each quotient as the correctly rounded float, equal to
-    float(Fraction(numerator, denominator)).  While no product can reach
-    2**53 they are int64 and the quotient is one float64 division of exact
-    conversions; otherwise the whole batch is taken in Python ints, whose
-    true division is correctly rounded too.
+    While no product can reach 2**53 (each is bounded by the product of its
+    array's column maxima of |factor|) they are int64, and exact in float64
+    too; otherwise the whole batch is taken in Python ints (object arrays).
     """
-    largest = max(int(np.abs(a).max(initial=1)) for a in (num, den))
-    if largest ** max(num.shape[1], den.shape[1]) < 2 ** 53:
-        p, q = sign * num.prod(axis=1), den.prod(axis=1)
-        return p, q, p / q
-    p = [sign * math.prod(row) for row in num.tolist()]
-    q = [math.prod(row) for row in den.tolist()]
-    return (np.array(p, dtype=object), np.array(q, dtype=object),
-            np.array([a / b for a, b in zip(p, q)], dtype=float))
+    if all(math.prod(np.abs(a).max(axis=0, initial=1).tolist()) < 2 ** 53
+           for a in (num, den)):
+        return sign * num.prod(axis=1), den.prod(axis=1)
+    return (np.array([sign * math.prod(row) for row in num.tolist()], dtype=object),
+            np.array([math.prod(row) for row in den.tolist()], dtype=object))
+
+
+def _exact_ratios(sign: int, num: np.ndarray, den: np.ndarray):
+    """(numerators, denominators, quotients): the exact products of
+    _exact_products and each quotient as the correctly rounded float, equal
+    to float(Fraction(numerator, denominator)).  For int64 that is one
+    float64 division of exact conversions, otherwise Python int true
+    division.  No denominator factor may be zero."""
+    p, q = _exact_products(sign, num, den)
+    return p, q, np.asarray(p / q, dtype=float)
+
+
+def _cancelled_ratios(sign: int, num: np.ndarray, den: np.ndarray):
+    """_cancelled_ratio for each row of two integer factor arrays.
+
+    Each zero denominator factor cancels one zero numerator factor, counted
+    per row; a zero numerator factor left over makes the ratio exactly 0.
+    Returns _exact_ratios' (numerators, denominators, quotients) and the
+    rows with more zero denominator factors than numerator ones, on which
+    the scalar form raises.
+    """
+    znum = np.count_nonzero(num == 0, axis=1)
+    zden = np.count_nonzero(den == 0, axis=1)
+    nums, dens, values = _exact_ratios(
+        sign, np.where(num == 0, 1, num), np.where(den == 0, 1, den))
+    zero = znum > zden
+    nums[zero] = 0
+    values[zero] = 0.0
+    return nums, dens, values, znum < zden
+
+
+def _ladder_factors(rows: np.ndarray, starts, k: int, r: np.ndarray,
+                    drop_upper: np.ndarray | None = None,
+                    drop_lower: np.ndarray | None = None):
+    """_squared_coefficient_factors on pattern table rows, one row of
+    factors per pattern.  r, drop_upper and drop_lower hold one 0-based
+    index per row; a dropped factor is set to 1.
+
+    With x the shifted label, each factor is s * (label - x + r) + c on
+    label offsets: up[p] - x + r - p, x - low[l] + l - r + 1, and
+    t = x - mid[l] + l - r, whose pair t(t + 1) for l != r is one
+    denominator factor: t and t + 1 are never both zero, so the pair has as
+    many zero factors as the two, and a nonzero pair is positive.  Returns
+    (sign, numerator factors, denominator factors).
+    """
+    up = rows[:, starts[k + 1]:starts[k + 1] + k + 1]
+    mid = rows[:, starts[k]:starts[k] + k]
+    low = rows[:, starts[k - 1]:starts[k - 1] + k - 1]
+    at = np.arange(len(rows))
+    labels = np.concatenate((up, low, mid), axis=1)
+    sign = np.repeat([1, -1, -1], [k + 1, k - 1, k])
+    shift = np.concatenate((-np.arange(1, k + 2), np.arange(2, k + 1), np.arange(1, k + 1)))
+    factors = sign * (labels - mid[at, r][:, None] + (r[:, None] + 1)) + shift
+    num, t = factors[:, :2 * k], factors[:, 2 * k:]
+    den = t * (t + 1)
+    den[at, r] = 1
+    if drop_upper is not None:
+        num[at, drop_upper] = 1
+    if drop_lower is not None:
+        num[at, k + 1 + drop_lower] = 1
+    return (-1 if k % 2 else 1), num, den
+
+
+def _row_index(table: np.ndarray) -> dict[tuple, int]:
+    return {row: c for c, row in enumerate(map(tuple, table.tolist()))}
 
 
 class Representation:
@@ -225,6 +288,14 @@ class Representation:
         return pattern_ordinals(self.patterns)
 
     @cached_property
+    def _index(self) -> dict[tuple, int]:
+        """Ordinal of each table row, keyed by the row as a tuple of ints,
+        made on first use.  The build drops its own copy when it ends: held
+        through dense verify jobs, it made their peak RSS read ~4 MB higher
+        (huge pages kept resident) in most benchmark runs."""
+        return _row_index(self.table)
+
+    @cached_property
     def raising_surds(self) -> dict[int, dict[tuple[int, int], Surd]]:
         return {k: {(row, col): Surd.sqrt(Fraction(p, q))
                     for row, col, p, q in zip(*(a.tolist() for a in ladder))}
@@ -239,21 +310,27 @@ class Representation:
     def generator_labels(self) -> list[tuple[int, int]]:
         return sorted(self._gen)
 
+    def raised(self, moves: np.ndarray):
+        """Every basis pattern moved by every row of moves, an (m, width)
+        integer array added to the table rows, where the result is again a
+        pattern.  Returns (cols, move, rows): the source ordinal, the index
+        of the move and the target ordinal, in basis order of the source,
+        moves fastest."""
+        moved = self.table[:, None, :] + moves
+        cols, move = np.nonzero(table_interlaces(moved, self.N))
+        rows = np.array([self._index[row] for row in map(tuple, moved[cols, move].tolist())],
+                        dtype=np.intp)
+        return cols, move, rows
+
     def _build(self):
         table = self.table
         starts = row_starts(self.N)
-        # a_kk acts by sum(row k) - sum(row k-1) = lam_N + (the same of the
-        # offsets); each value in their range goes through float() once.
-        sums = np.add.reduceat(table, starts[self.N:0:-1], axis=1)[:, ::-1]
-        offsets = sums.copy()
-        offsets[:, 1:] -= sums[:, :-1]
-        low = int(offsets.min())
-        floats = np.array([float(self.weight[-1] + v)
-                           for v in range(low, int(offsets.max()) + 1)])
-        diagonals = floats[offsets - low]
+        # a_kk acts by the pattern weights; each value goes through float()
+        # once.
+        diagonals = table_labels(self.weight, table_weights(table, self.N), float)
         for k in range(1, self.N + 1):
             self._gen[(k, k)] = freeze(np.diag(diagonals[:, k - 1]))
-        index = {row: c for c, row in enumerate(map(tuple, table.tolist()))}
+        index = _row_index(table)
         for k in range(1, self.N):
             self._gen[(k, k + 1)] = freeze(self._raising(k, starts, index))
             self._gen[(k + 1, k)] = freeze(self._gen[(k, k + 1)].T.copy())
@@ -266,15 +343,7 @@ class Representation:
 
     def _raising(self, k: int, starts, index) -> np.ndarray:
         """a_{k,k+1} from the ladder coefficients of every admissible
-        (pattern, r); its exact squares are kept in _ladders[k].
-
-        The factors are those of _squared_coefficient_factors on label
-        offsets.  With x the shifted label, each is s * (label - x + r) + c:
-        up[p] - x + r - p, x - low[l] + l - r + 1, and t = x - mid[l] + l - r,
-        whose pair t(t + 1) for l != r is one denominator factor: t and t + 1
-        are never both zero, so the pair has as many zero factors as the two,
-        and a nonzero pair is positive.
-        """
+        (pattern, r); its exact squares are kept in _ladders[k]."""
         table = self.table
         up = table[:, starts[k + 1]:starts[k + 1] + k + 1]
         mid = table[:, starts[k]:starts[k] + k]
@@ -284,27 +353,12 @@ class Representation:
         ok = mid < up[:, :k]
         ok[:, 1:] &= low > mid[:, 1:]
         cols, r = np.nonzero(ok)
-        labels = np.concatenate((up, low, mid), axis=1)[cols]
-        sign = np.repeat([1, -1, -1], [k + 1, k - 1, k])
-        shift = np.concatenate((-np.arange(1, k + 2), np.arange(2, k + 1), np.arange(1, k + 1)))
-        factors = sign * (labels - mid[cols, r][:, None] + (r[:, None] + 1)) + shift
-        num, t = factors[:, :2 * k], factors[:, 2 * k:]
-        den = t * (t + 1)
-        den[np.arange(len(cols)), r] = 1
-        # A zero denominator factor cancels one zero numerator factor; an
-        # uncancelled zero numerator factor makes the coefficient zero.
-        znum = np.count_nonzero(num == 0, axis=1)
-        zden = np.count_nonzero(den == 0, axis=1)
-        num[num == 0] = 1
-        den[den == 0] = 1
-        nums, dens, values = _exact_ratios(-1 if k % 2 else 1, num, den)
-        zero = znum > zden
-        nums[zero] = 0
-        values[zero] = 0.0
-        bad = np.flatnonzero((znum < zden) | (nums < 0))
+        nums, dens, values, unmatched = _cancelled_ratios(
+            *_ladder_factors(table[cols], starts, k, r))
+        bad = np.flatnonzero(unmatched | (nums < 0))
         if bad.size:  # the first in basis order, as the scalar path raises
             i = bad[0]
-            if znum[i] < zden[i]:
+            if unmatched[i]:
                 raise DegeneratePatternError(
                     f"unmatched zero denominator factor in ladder coefficient k={k} r={r[i] + 1}")
             raise ConsistencyError(
@@ -317,6 +371,49 @@ class Representation:
         mat = np.zeros((self.dim, self.dim))
         mat[rows, cols] = np.sqrt(values)
         return mat
+
+
+def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
+    """|<pattern + sum of shifts| a_{l,n+1} |pattern>| for every basis
+    pattern and shift combination, as a dim x dim matrix, from the product
+    form of nonelementary_coefficient.
+
+    Every combination (i_n, ..., i_l) raises one label per level; all of
+    them are applied to the whole table at once, and each level's factors
+    are those of _ladder_factors on the patterns that stay in the lattice.
+    """
+    if not 1 <= l <= n < rep.N:
+        raise DomainError(f"need 1 <= l <= n < {rep.N}, got l={l} n={n}")
+    starts = row_starts(rep.N)
+    levels = range(n, l - 1, -1)
+    # 0-based shift indices, one column per level, in the order of
+    # itertools.product over the scalar form's shift tuples
+    combos = np.array(list(itertools.product(*(range(level) for level in levels))))
+    moves = np.zeros((len(combos), rep.table.shape[1]), dtype=np.int64)
+    for pos, level in enumerate(levels):
+        moves[np.arange(len(combos)), starts[level] + combos[:, pos]] = 1
+    cols, combo, rows = rep.raised(moves)
+    shifts, sources = combos[combo], rep.table[cols]
+    sign, num, den = 1, [], []
+    for pos, level in enumerate(levels):
+        s, level_num, level_den = _ladder_factors(
+            sources, starts, level, shifts[:, pos],
+            drop_upper=shifts[:, pos - 1] if level < n else None,
+            drop_lower=shifts[:, pos + 1] if level > l else None)
+        sign *= s
+        num.append(level_num)
+        den.append(level_den)
+    nums, _, values, unmatched = _cancelled_ratios(
+        sign, np.concatenate(num, axis=1), np.concatenate(den, axis=1))
+    bad = np.flatnonzero(unmatched | (nums < 0))
+    if bad.size:  # the scalar form raises on the first, in basis order
+        pattern = rep.patterns[cols[bad[0]]]
+        nonelementary_coefficient(pattern, l, n, shifts[bad[0]] + 1)
+        raise ConsistencyError(
+            f"batched a_{l},{n + 1} coefficient disagrees with the scalar form on {pattern.rows}")
+    out = np.zeros((rep.dim, rep.dim))
+    out[rows, cols] = np.sqrt(values)
+    return out
 
 
 def gl_block_matrix(rep: Representation, kind: str = "A",

@@ -201,6 +201,40 @@ def pattern_table(lam) -> np.ndarray:
     return table
 
 
+def table_weights(table: np.ndarray, n: int) -> np.ndarray:
+    """gl(n) weight of every pattern of a table minus lam_n, from the label
+    offsets: w_k = sum(row k) - sum(row k-1) = lam_n + (the same of the
+    offsets)."""
+    starts = row_starts(n)
+    sums = np.add.reduceat(table, starts[n:0:-1], axis=1)[:, ::-1]
+    weights = sums.copy()
+    weights[:, 1:] -= sums[:, :-1]
+    return weights
+
+
+def table_interlaces(table: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a table of n-label patterns (any leading shape, label
+    offsets on the last axis) interlace: upper[i] >= lower[i] >= upper[i+1]
+    on every pair of rows, one comparison per level.  Gaps are integers by
+    construction."""
+    starts = row_starts(n)
+    ok = np.ones(table.shape[:-1], dtype=bool)
+    for m in range(n, 1, -1):
+        upper = table[..., starts[m]:starts[m] + m]
+        lower = table[..., starts[m - 1]:starts[m - 1] + m - 1]
+        ok &= ((upper[..., :-1] >= lower) & (lower >= upper[..., 1:])).all(axis=-1)
+    return ok
+
+
+def table_labels(lam: Weight, offsets: np.ndarray, convert) -> np.ndarray:
+    """convert(lam_n + v) for each entry v of an integer offset array; each
+    distinct value is converted once and looked up by offset."""
+    low = int(offsets.min(initial=0))
+    values = np.array([convert(lam[-1] + v)
+                       for v in range(low, int(offsets.max(initial=0)) + 1)])
+    return values[offsets - low]
+
+
 def table_patterns(lam: Weight, table) -> list[GTPattern]:
     """GTPatterns of the rows of pattern_table(lam), lam already checked.
     Labels are looked up by offset, so each Fraction is made once."""

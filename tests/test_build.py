@@ -123,9 +123,11 @@ def test_negative_squared_coefficient_raises_at_first_pattern(monkeypatch):
         Representation((2, 1, 0))
 
 
-@pytest.mark.parametrize("suite", ["relations", "identity", "projectors"])
+@pytest.mark.parametrize("suite", ["relations", "identity", "projectors", "invariants",
+                                   "melcross"])
 def test_product_suites_never_build_patterns(suite):
-    """The gain of the batched build rests on these staying unbuilt."""
+    """The gain of the batched build and of the batched closed forms of
+    invariants and melcross rests on these staying unbuilt."""
     rep = Representation((2, 1, 1, 0))
     assert run_suite(suite, rep=rep).passed
     for name in ("patterns", "ordinal", "raising_surds"):

@@ -1,0 +1,112 @@
+"""The batched closed forms of the melcross and invariants suites against
+their scalar forms.
+
+The references below walk the basis one GTPattern at a time, the way the
+closed forms read: every shift combination through shifted_many and
+nonelementary_coefficient, every M*Cbar product through
+elementary_square_from_invariants.  The batched forms on the integer
+pattern table must give the same floats bit for bit and the same exact
+rationals."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from charid.charident import (
+    elementary_square_from_invariants,
+    elementary_squares_from_invariants,
+)
+from charid.glrep import Representation, nonelementary_coefficient, nonelementary_magnitudes
+from charid.verify import run_suite
+
+SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-22, 7)]
+SWEEP = [lam for n in (3, 4)
+         for lam in itertools.combinations_with_replacement(range(3, -1, -1), n)]
+LARGER = [(2, 1, 1, 0, 0), (3, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0)]
+
+
+def _reference_magnitudes(rep, l, n):
+    expected = np.zeros((rep.dim, rep.dim))
+    levels = range(n, l - 1, -1)
+    for c, pattern in enumerate(rep.patterns):
+        for shifts in itertools.product(*(range(1, level + 1) for level in levels)):
+            target = pattern.shifted_many([(level, i, 1) for level, i in zip(levels, shifts)])
+            if target is not None:
+                coeff = nonelementary_coefficient(pattern, l, n, shifts)
+                expected[rep.ordinal[target], c] = float(coeff)
+    return expected
+
+
+def _assert_matches_reference(lam):
+    rep = Representation(lam)
+    for l in range(1, rep.N - 1):
+        for n in range(l + 1, rep.N):
+            assert np.array_equal(nonelementary_magnitudes(rep, l, n),
+                                  _reference_magnitudes(rep, l, n)), (lam, l, n)
+    for r in range(1, rep.N):
+        nums, dens = elementary_squares_from_invariants(rep, r)
+        batched = [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+        assert batched == [elementary_square_from_invariants(p, r)
+                           for p in rep.patterns], (lam, r)
+
+
+@pytest.mark.parametrize("shift", SHIFTS, ids=str)
+def test_closed_forms_match_scalar_reference_on_the_sweep(shift):
+    for lam in SWEEP:
+        _assert_matches_reference(tuple(x + shift for x in lam))
+
+
+@pytest.mark.parametrize("lam", LARGER, ids=str)
+def test_closed_forms_match_scalar_reference_on_gl5_gl6(lam):
+    _assert_matches_reference(tuple(x + Fraction(1, 2) for x in lam))
+
+
+def _check(report, prefix):
+    (check,) = [c for c in report.checks if c.description.startswith(prefix)]
+    return check
+
+
+def test_melcross_fails_on_a_moved_commutator_entry():
+    rep = Representation((2, 1, 0))
+    assert run_suite("melcross", rep=rep).passed
+    moved = rep.gen(1, 3).copy()
+    row, col = np.argwhere(moved)[0]
+    moved[row, col] += 1e-3
+    rep._gen[(1, 3)] = moved
+    report = run_suite("melcross", rep=rep)
+    assert not report.passed
+    assert _check(report, "|a_1,3|").residual == pytest.approx(1e-3)
+
+
+def test_invariants_exact_check_fails_on_a_changed_ladder_numerator():
+    rep = Representation((2, 1, 0))
+    prefix = "squared ladder coefficients equal M*Cbar"
+    assert _check(run_suite("invariants", rep=rep), prefix).passed
+    rows, cols, nums, dens = rep._ladders[rep.N - 1]
+    nums = nums.copy()
+    nums[np.flatnonzero(nums)[0]] += 1
+    rep._ladders[rep.N - 1] = (rows, cols, nums, dens)
+    report = run_suite("invariants", rep=rep)
+    assert not _check(report, prefix).passed
+    assert all(c.passed for c in report.checks if not c.description.startswith(prefix))
+
+
+def test_invariants_exact_check_fails_on_a_missing_ladder_entry():
+    """An admissible shift whose stored square is absent reads as 0."""
+    rep = Representation((2, 1, 0))
+    rep._ladders[rep.N - 1] = tuple(a[1:] for a in rep._ladders[rep.N - 1])
+    assert not _check(run_suite("invariants", rep=rep),
+                      "squared ladder coefficients equal M*Cbar").passed
+
+
+def test_invariants_exact_check_fails_when_an_admissible_shift_reads_as_none(monkeypatch):
+    """Where no shift stays in the lattice the M*Cbar product must be 0; one
+    admissible shift hidden from the lattice search leaves a nonzero
+    product there."""
+    rep = Representation((2, 1, 0))
+    found = rep.raised
+    monkeypatch.setattr(rep, "raised", lambda moves: tuple(a[1:] for a in found(moves)))
+    assert not _check(run_suite("invariants", rep=rep),
+                      "squared ladder coefficients equal M*Cbar").passed

@@ -96,3 +96,22 @@ def test_roots_move_with_a_shift_by_identity(case):
     moved = weight(x + c for x in base)
     assert alpha_roots(moved) == [a + c for a in alpha_roots(base)]
     assert alpha_bar_roots(moved) == [a - c for a in alpha_bar_roots(base)]
+
+
+@st.composite
+def closed_form_weights(draw):
+    """A dominant gl(3..5) weight with labels in 0..3, shifted by c, c + 1/2
+    or c + 1/3 with c in -5..5."""
+    n = draw(st.integers(3, 5))
+    lam = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), reverse=True)
+    c = draw(st.integers(-5, 5)) + draw(
+        st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1, 3))))
+    return tuple(x + c for x in lam)
+
+
+@PROPERTY_SETTINGS
+@given(closed_form_weights())
+def test_shifted_weights_pass_the_closed_form_suites(lam):
+    rep = Representation(lam)
+    for suite in ("melcross", "invariants"):
+        assert run_suite(suite, rep=rep).passed, suite
