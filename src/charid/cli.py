@@ -109,6 +109,10 @@ def resolve_tolerance(value: float | None) -> Tolerance:
     return Tolerance(abs_eps=value, rel_eps=value)
 
 
+class _Raw(str):
+    """Text that render_json writes as it stands: JSON rendered in bulk."""
+
+
 def render_json(value) -> str:
     """Deterministic JSON: insertion-ordered keys, floats as %.17g."""
     parts: list[str] = []
@@ -141,7 +145,7 @@ def render_json(value) -> str:
         elif isinstance(v, Fraction):
             parts.append(json.dumps(str(v)))
         elif isinstance(v, str):
-            parts.append(json.dumps(v))
+            parts.append(v if isinstance(v, _Raw) else json.dumps(v))
         else:
             raise DomainError(f"cannot serialize {type(v).__name__}")
 
@@ -158,105 +162,109 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _matrix_triplets(matrix) -> list[list]:
-    """Sparse (row, col, value) triplets of the nonzero entries, in
-    row-major order."""
-    rows, cols = np.nonzero(matrix)
-    return [list(t) for t in zip(rows.tolist(), cols.tolist(),
-                                 matrix[rows, cols].tolist())]
+def _numbers(values: np.ndarray) -> tuple[list, str]:
+    """Triplet values and their %-format: floats as %.17g, which must be
+    finite, integers as they are."""
+    if values.dtype.kind != "f":
+        return values.tolist(), "%d"
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise DomainError(f"cannot serialize non-finite float {float(bad[0])}")
+    return values.tolist(), "%.17g"
 
 
-def _gl_rep_payload(spec: JobSpec, rep: Representation) -> dict:
-    # Every label and every diagonal entry is lam_N plus an integer offset;
-    # each distinct value is formatted once.
-    labels = table_labels(rep.weight, rep.table, str).tolist()
-    starts = row_starts(rep.N)
-    bounds = [(starts[k], starts[k] + k) for k in range(rep.N, 0, -1)]
-    basis = [{"ordinal": i, "rows": [row[a:b] for a, b in bounds]}
-             for i, row in enumerate(labels)]
-    diagonals = table_labels(rep.weight, table_weights(rep.table, rep.N), str).T.tolist()
-    generators = []
+def _gl_generators(rep: Representation) -> list[tuple]:
+    """(name, kind, rows, cols, values, format) of each generator's nonzero
+    entries, row-major; a quoted format makes the values JSON strings."""
+    d = rep.dim
+    # Every diagonal entry is lam_N plus an integer offset; each distinct
+    # value is formatted once.  An elementary entry is the str of
+    # Surd.sqrt(Fraction(p, q)), with p/q the stored square reduced by gcd.
+    diagonals = table_labels(rep.weight, table_weights(rep.table, rep.N), str)
+    roots = {}
+    for k, (_, _, nums, dens) in rep._ladders.items():
+        g = np.gcd(nums, dens)
+        roots[k] = np.array(["1*sqrt(%d/%d)" % pq if pq[0] else "0"
+                             for pq in zip((nums // g).tolist(), (dens // g).tolist())])
+    out = []
     for i, j in rep.generator_labels():
-        mat = rep.gen(i, j)
+        name = f"a_{i}_{j}"
         if i == j:
-            triplets = [[idx, idx, value] for idx, value in enumerate(diagonals[i - 1])
-                        if value != "0"]
-            kind = "diagonal"
+            idx = np.flatnonzero(diagonals[:, i - 1] != "0")
+            out.append((name, "diagonal", idx.tolist(), idx.tolist(),
+                        diagonals[idx, i - 1].tolist(), '"%s"'))
         elif abs(i - j) == 1:
-            k = min(i, j)
-            surds = rep.raising_surds[k]
-            if j == i + 1:
-                exact = surds
-            else:
-                exact = {(c, r): s for (r, c), s in surds.items()}
-            triplets = [[r, c, str(s)] for (r, c), s in sorted(exact.items())]
-            kind = "elementary"
+            rows, cols, _, _ = rep._ladders[min(i, j)]
+            if i > j:
+                rows, cols = cols, rows
+            order = np.argsort(rows * d + cols, kind="stable")
+            out.append((name, "elementary", rows[order].tolist(), cols[order].tolist(),
+                        roots[min(i, j)][order].tolist(), '"%s"'))
         else:
-            triplets = _matrix_triplets(mat)
-            kind = "nonelementary"
-        generators.append({
-            "name": f"a_{i}_{j}",
-            "kind": kind,
-            "rows": mat.shape[0],
-            "cols": mat.shape[1],
-            "triplets": triplets,
-        })
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "rep",
-        "algebra": spec.algebra,
-        "weight": [str(x) for x in rep.weight],
-        "dimension": rep.dim,
-        "basis": basis,
-        "generators": generators,
-    }
+            rows, cols, values = rep.triplets(i, j)
+            out.append((name, "nonelementary", rows.tolist(), cols.tolist(), *_numbers(values)))
+    return out
 
 
-def _super_rep_payload(spec: JobSpec, m: int, n: int) -> dict:
+def _gl_basis(rep: Representation) -> _Raw:
+    """The basis list: each pattern's ordinal and rows of labels, top row
+    first, written with one format per pattern; each distinct label is
+    rendered once."""
+    starts = row_starts(rep.N)
+    levels = range(rep.N, 0, -1)
+    order = np.concatenate([np.arange(starts[k], starts[k] + k) for k in levels])
+    labels = table_labels(rep.weight, rep.table[:, order], lambda x: json.dumps(str(x)))
+    entry = '{"ordinal": %d, "rows": [' + ", ".join(
+        "[" + ", ".join(["%s"] * k) + "]" for k in levels) + "]}"
+    return _Raw("[" + ", ".join(entry % (i, *row) for i, row in enumerate(labels.tolist())) + "]")
+
+
+def _super_generators(m: int, n: int) -> list[tuple]:
     gens = vector_rep(m, n)
-    generators = []
+    out = []
     for p, q in sorted(gens):
-        mat = gens[(p, q)]
-        generators.append({
-            "name": f"a_{p}_{q}",
-            "kind": "vector",
-            "rows": m + n,
-            "cols": m + n,
-            "triplets": _matrix_triplets(mat),
-        })
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "rep",
-        "algebra": spec.algebra,
-        "weight": [str(x) for x in super_vector_weight(m, n).labels()],
-        "dimension": m + n,
-        "generators": generators,
-    }
-
-
-def _payload_to_csv(payload: dict) -> str:
-    lines = ["generator,row,col,value"]
-    for gen in payload["generators"]:
-        for r, c, value in gen["triplets"]:
-            rendered = "%.17g" % value if isinstance(value, float) else str(value)
-            lines.append(f"{gen['name']},{r},{c},{rendered}")
-    return "\n".join(lines) + "\n"
+        rows, cols = np.nonzero(gens[(p, q)])
+        out.append((f"a_{p}_{q}", "vector", rows.tolist(), cols.tolist(),
+                    *_numbers(gens[(p, q)][rows, cols])))
+    return out
 
 
 def cmd_rep(spec: JobSpec) -> int:
     family, sizes = parse_algebra(spec.algebra)
     parsed = parse_weight(spec.weight, family, sizes)
     if family == "gl":
-        payload = _gl_rep_payload(spec, Representation(parsed))
+        rep = Representation(parsed)
+        labels, dim = rep.weight, rep.dim
+        generators = _gl_generators(rep)
     else:
         if parsed != super_vector_weight(*sizes):
             raise DomainError(
                 "representation export for gl(m|n) covers the vector weight only")
-        payload = _super_rep_payload(spec, *sizes)
+        labels, dim = super_vector_weight(*sizes).labels(), sum(sizes)
+        generators = _super_generators(*sizes)
+    # Each generator's triplets are written with one format and one join.
     if spec.format == "csv":
-        _write_output(_payload_to_csv(payload), spec.output)
-    else:
-        _write_output(render_json(payload), spec.output)
+        lines = ["generator,row,col,value"]
+        for name, _, rows, cols, values, fmt in generators:
+            line = f"{name},%d,%d," + fmt.strip('"')
+            lines.extend(map(line.__mod__, zip(rows, cols, values)))
+        _write_output("\n".join(lines) + "\n", spec.output)
+        return 0
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": "rep",
+        "algebra": spec.algebra,
+        "weight": [str(x) for x in labels],
+        "dimension": dim,
+    }
+    if family == "gl":
+        payload["basis"] = _gl_basis(rep)
+    payload["generators"] = [
+        {"name": name, "kind": kind, "rows": dim, "cols": dim,
+         "triplets": _Raw("[" + ", ".join(map(f"[%d, %d, {fmt}]".__mod__,
+                                              zip(rows, cols, values))) + "]")}
+        for name, kind, rows, cols, values, fmt in generators]
+    _write_output(render_json(payload), spec.output)
     return 0
 
 

@@ -2,9 +2,11 @@
 
 Diagonal generators act by pattern weights.  Elementary raising generators
 a_{k,k+1} have closed-form ladder coefficients (square roots of rationals,
-kept exact as Surds alongside the float matrices), lowering generators are
-their transposes, and the remaining generators are nested commutators
+whose exact squares are kept alongside), lowering generators are their
+transposes, and the remaining generators are nested commutators
 a_{i,j} = [a_{i,j-1}, a_{j-1,j}], which fixes every phase constructively.
+Every generator is held as sparse (row, col, value) triplets, and each
+commutator is a join of one factor's columns with the other's rows.
 
 A module is built on the integer pattern table of gtbasis.pattern_table:
 every ladder factor is a difference of labels plus an integer, hence an
@@ -29,10 +31,13 @@ from .kernel import (
     SchurViolationError,
     Surd,
     Tolerance,
-    commutator,
+    Triplets,
+    commutator,  # unused here, kept as a name the benchmark's tracer wraps
     freeze,
+    join,
     matrix_power,
     max_abs,
+    offsets,
     partial_trace_block,
     rationalize,
 )
@@ -258,14 +263,67 @@ def _row_index(table: np.ndarray) -> dict[tuple, int]:
     return {row: c for c, row in enumerate(map(tuple, table.tolist()))}
 
 
+def _block_diagonal(parts, d: int) -> Triplets:
+    """Row-major Triplets of the block-diagonal matrix of the d x d
+    matrices parts, each given as (rows, cols, values); zeros dropped."""
+    shift = np.repeat(np.arange(len(parts)) * d, [len(rows) for rows, _, _ in parts])
+    rows, cols, values = (np.concatenate(a) for a in zip(*parts))
+    keep = values != 0
+    rows, cols, values = (rows + shift)[keep], (cols + shift)[keep], values[keep]
+    order = np.argsort(rows * (len(parts) * d) + cols)
+    return Triplets(rows[order], cols[order], values[order])
+
+
+def _blocks(t: Triplets, first: int, count: int, d: int) -> Triplets:
+    """Diagonal d x d blocks first..first+count-1 of a row-sorted
+    block-diagonal matrix, as a block-diagonal matrix of their own."""
+    lo, hi = np.searchsorted(t.rows, [first * d, (first + count) * d])
+    shift = first * d
+    return Triplets(t.rows[lo:hi] - shift, t.cols[lo:hi] - shift, t.values[lo:hi])
+
+
+def sparse_commutator(a: Triplets, b: Triplets, d: int) -> Triplets:
+    """[a, b] = ab - ba of two d x d matrices held as row-major Triplets.
+
+    One table holds b's entries, then a's with their rows moved by d.
+    Probing it with a's columns finds the terms of ab, and with b's columns
+    moved by d those of ba.  Each product's terms are summed per entry on
+    their own before the difference is taken, as two dense products would
+    be.  On GT ladder operators every entry of either product has a single
+    term (the intermediate pattern is fixed by which rows each factor
+    moves), so the result equals the dense commutator bit for bit.  Exact
+    zeros are dropped.
+    """
+    n_a = len(a.rows)
+    rows, cols, values = (np.concatenate(x) for x in zip(b, a))
+    rows[len(b.rows):] += d
+    left_rows, left_cols, left_values = (np.concatenate(x) for x in zip(a, b))
+    left_cols[n_a:] += d
+    probe, at = join(left_cols, offsets(rows, 2 * d))
+    entries, inverse = np.unique(left_rows[probe] * d + cols[at], return_inverse=True)
+    size = len(entries)
+    inverse[np.searchsorted(probe, n_a):] += size  # terms of ab come first
+    sums = np.bincount(inverse, weights=left_values[probe] * values[at], minlength=2 * size)
+    diff = sums[:size] - sums[size:]
+    keep = diff != 0
+    rows, cols = np.divmod(entries[keep], d)
+    return Triplets(rows, cols, diff[keep])
+
+
 class Representation:
     """All generator matrices of one irreducible gl(N) module.
 
     Immutable after construction.  The basis is held as `table`, the int64
-    pattern table (gtbasis.pattern_table).  `patterns`, `ordinal` and the
-    exact Surd sidecar `raising_surds` of the elementary raising generators,
-    keyed by (row, column) ordinal so squared-norm identities can be checked
-    in rational arithmetic, are made from it on first use.
+    pattern table (gtbasis.pattern_table).  The nonzero entries of all N^2
+    generators are stored once, in one frozen Triplets table `entries`:
+    generator a_ij is g = (i-1)N + j-1, entry_gen holds g for each entry,
+    its entries are entry_starts[g]:entry_starts[g+1], row-major, and
+    `triplets(i, j)` is that slice.  `gen(i, j)` scatters the dense d x d
+    matrix from it on first use and keeps it, so no check can read a dense
+    copy that differs from the triplets.  `patterns`, `ordinal` and the
+    exact Surd sidecar `raising_surds` of the elementary raising
+    generators, keyed by (row, column) ordinal so squared-norm identities
+    can be checked in rational arithmetic, are made on first use too.
     """
 
     def __init__(self, labels):
@@ -276,7 +334,6 @@ class Representation:
         # k -> (rows, cols, numerators, denominators) of a_{k,k+1}'s squared
         # entries, in basis order.
         self._ladders: dict[int, tuple[np.ndarray, ...]] = {}
-        self._gen: dict[tuple[int, int], np.ndarray] = {}
         self._build()
 
     @cached_property
@@ -301,14 +358,28 @@ class Representation:
                     for row, col, p, q in zip(*(a.tolist() for a in ladder))}
                 for k, ladder in self._ladders.items()}
 
-    def gen(self, i: int, j: int) -> np.ndarray:
-        """Matrix of the generator a_{ij} (1-based indices)."""
+    def triplets(self, i: int, j: int) -> Triplets:
+        """Nonzero entries of the generator a_{ij} (1-based indices),
+        row-major."""
         if not (1 <= i <= self.N and 1 <= j <= self.N):
             raise DomainError(f"generator indices ({i},{j}) outside 1..{self.N}")
-        return self._gen[(i, j)]
+        g = (i - 1) * self.N + j - 1
+        lo, hi = self.entry_starts[g], self.entry_starts[g + 1]
+        rows, cols, values = self.entries
+        return Triplets(rows[lo:hi], cols[lo:hi], values[lo:hi])
+
+    def gen(self, i: int, j: int) -> np.ndarray:
+        """Dense matrix of the generator a_{ij} (1-based indices)."""
+        mat = self._dense.get((i, j))
+        if mat is None:
+            rows, cols, values = self.triplets(i, j)
+            mat = np.zeros((self.dim, self.dim))
+            mat[rows, cols] = values
+            mat = self._dense[(i, j)] = freeze(mat)
+        return mat
 
     def generator_labels(self) -> list[tuple[int, int]]:
-        return sorted(self._gen)
+        return list(itertools.product(range(1, self.N + 1), repeat=2))
 
     def raised(self, moves: np.ndarray):
         """Every basis pattern moved by every row of moves, an (m, width)
@@ -322,28 +393,51 @@ class Representation:
                         dtype=np.intp)
         return cols, move, rows
 
+    def _store(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               values: np.ndarray):
+        """Store the generators: entry e is (rows[e], cols[e]) = values[e]
+        of generator g[e]; values are nonzero, no position comes twice.
+        Drops the dense copies made from an earlier store."""
+        d = self.dim
+        order = np.argsort((g * d + rows) * d + cols)
+        self.entries = Triplets(freeze(rows[order]), freeze(cols[order]), freeze(values[order]))
+        self.entry_gen = freeze(g[order])
+        self.entry_starts = offsets(self.entry_gen, self.N * self.N)
+        self._dense: dict[tuple[int, int], np.ndarray] = {}
+
     def _build(self):
-        table = self.table
-        starts = row_starts(self.N)
+        table, d, N = self.table, self.dim, self.N
+        starts = row_starts(N)
         # a_kk acts by the pattern weights; each value goes through float()
         # once.
-        diagonals = table_labels(self.weight, table_weights(table, self.N), float)
-        for k in range(1, self.N + 1):
-            self._gen[(k, k)] = freeze(np.diag(diagonals[:, k - 1]))
+        diagonals = table_labels(self.weight, table_weights(table, N), float)
+        k, basis = np.nonzero(diagonals.T)
+        parts = [(k * (N + 1), basis, basis, diagonals[basis, k])]
+        # The generators a_{i,i+size} of one size are the diagonal blocks
+        # i - 1 of one block-diagonal matrix: the elementary ones (size 1)
+        # from the ladder coefficients, each further size as one commutator
+        # a_{i,j} = [a_{i,j-1}, a_{j-1,j}] of such matrices.  Each a_ij is
+        # stored with its transpose a_ji.
         index = _row_index(table)
-        for k in range(1, self.N):
-            self._gen[(k, k + 1)] = freeze(self._raising(k, starts, index))
-            self._gen[(k + 1, k)] = freeze(self._gen[(k, k + 1)].T.copy())
-        for span in range(2, self.N):
-            for i in range(1, self.N - span + 1):
-                j = i + span
-                mat = commutator(self._gen[(i, j - 1)], self._gen[(j - 1, j)])
-                self._gen[(i, j)] = freeze(mat)
-                self._gen[(j, i)] = freeze(mat.T.copy())
+        ladders = [self._raising(k, starts, index) for k in range(1, N)]
+        for size in range(1, N):
+            if size == 1:
+                stack = elementary = _block_diagonal(ladders, d)
+            else:
+                count = N - size
+                stack = sparse_commutator(_blocks(stack, 0, count, d),
+                                         _blocks(elementary, size - 1, count, d), count * d)
+            block, rows = np.divmod(stack.rows, d)
+            cols = stack.cols - block * d
+            upper = block * (N + 1) + size
+            parts.append((upper, rows, cols, stack.values))
+            parts.append((upper + size * (N - 1), cols, rows, stack.values))  # a_ji
+        self._store(*(np.concatenate(a) for a in zip(*parts)))
 
-    def _raising(self, k: int, starts, index) -> np.ndarray:
-        """a_{k,k+1} from the ladder coefficients of every admissible
-        (pattern, r); its exact squares are kept in _ladders[k]."""
+    def _raising(self, k: int, starts, index):
+        """(rows, cols, values) of a_{k,k+1} from the ladder coefficients of
+        every admissible (pattern, r), in basis order of the column; its
+        exact squares are kept in _ladders[k]."""
         table = self.table
         up = table[:, starts[k + 1]:starts[k + 1] + k + 1]
         mid = table[:, starts[k]:starts[k] + k]
@@ -368,9 +462,7 @@ class Representation:
         targets[np.arange(len(cols)), starts[k] + r] += 1
         rows = np.array([index[row] for row in map(tuple, targets.tolist())], dtype=np.intp)
         self._ladders[k] = (rows, cols, nums, dens)
-        mat = np.zeros((self.dim, self.dim))
-        mat[rows, cols] = np.sqrt(values)
-        return mat
+        return rows, cols, np.sqrt(values)
 
 
 def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
@@ -418,7 +510,8 @@ def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
 
 def gl_block_matrix(rep: Representation, kind: str = "A",
                     level: int | None = None) -> np.ndarray:
-    """(s*d) x (s*d) matrix with generator blocks, s = level (default N).
+    """(s*d) x (s*d) matrix with generator blocks, s = level (default N),
+    scattered in one go from the module's stored triplets.
 
     kind "A" places a_{ij} at block (i, j); kind "Abar" places -a_{ji}.
     A level below N restricts to the gl(level) subalgebra generators.
@@ -426,17 +519,18 @@ def gl_block_matrix(rep: Representation, kind: str = "A",
     s = rep.N if level is None else level
     if not 1 <= s <= rep.N:
         raise DomainError(f"level {s} outside 1..{rep.N}")
+    if kind not in ("A", "Abar"):
+        raise DomainError(f"unknown kind {kind!r}")
     d = rep.dim
+    rows, cols, values = rep.entries
+    i, j = np.divmod(rep.entry_gen, rep.N)
+    if kind == "Abar":  # a_ij's entries go to block (j, i), negated
+        i, j, values = j, i, -values
+    if s < rep.N:
+        keep = (i < s) & (j < s)
+        rows, cols, values, i, j = (a[keep] for a in (rows, cols, values, i, j))
     big = np.zeros((s * d, s * d))
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            if kind == "A":
-                block = rep.gen(i, j)
-            elif kind == "Abar":
-                block = -rep.gen(j, i)
-            else:
-                raise DomainError(f"unknown kind {kind!r}")
-            big[(i - 1) * d:i * d, (j - 1) * d:j * d] = block
+    big[i * d + rows, j * d + cols] = values
     return big
 
 

@@ -1,4 +1,5 @@
-"""Scalar kernel: exact rationals, signed square roots, dense float64 helpers.
+"""Scalar kernel: exact rationals, signed square roots, dense float64 helpers
+and the sparse triplet join.
 
 Everything with a closed form (characteristic roots, Casimir eigenvalues,
 squared matrix elements) is evaluated in exact rational arithmetic; operator
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,6 +188,36 @@ def partial_trace_block(big, s: int, d: int) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
+
+
+class Triplets(NamedTuple):
+    """The nonzero entries of a sparse matrix as parallel arrays, sorted
+    row-major."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def offsets(keys: np.ndarray, size: int) -> np.ndarray:
+    """Run starts of sorted integer keys in 0..size-1: the entries with key
+    k are offsets[k]:offsets[k + 1]."""
+    out = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=size), out=out[1:])
+    return out
+
+
+def join(keys: np.ndarray, starts: np.ndarray):
+    """Every pair (i, t) of a probe i and a table entry t with the probe's
+    key, for a table sorted by key with run starts `starts` (see offsets).
+    Returns (i, t) as two index arrays, i ascending, t ascending within
+    each i.  A sparse product joins one factor's columns with the other's
+    rows this way."""
+    lo = starts[keys]
+    found = starts[keys + 1] - lo
+    probe = np.repeat(np.arange(len(keys)), found)
+    at = np.repeat(lo + found - np.cumsum(found), found) + np.arange(len(probe))
+    return probe, at
 
 
 def rationalize(x: float, tol: Tolerance, max_denominator: int = 10 ** 6) -> Fraction:

@@ -13,7 +13,9 @@ from .kernel import (
     DomainError,
     Tolerance,
     commutator,  # unused here, kept as a name the benchmark's tracer wraps
+    join,
     max_abs,
+    offsets,
 )
 from .gtbasis import branch, format_weight, row_starts
 from .glrep import (
@@ -103,27 +105,19 @@ class VerificationReport:
 def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
     """[a_ij, a_kl] = d_kj a_il - d_il a_kj over every generator pair.
 
-    Every generator is read once as triplets (row, col, value) from the
-    nonzeros of its dense matrix, so each stored entry, a wrong one too,
-    takes part.  For one left generator a_g at a time, the terms of a_g a_h
-    and a_h a_g for every h come from joining a_g's columns with the rows of
-    all generators and a_g's rows with their columns; the right-hand side
-    adds a_il and -a_kj as further terms.  Terms are summed per entry
+    The module's one table of stored triplets (row, col, value) is read
+    whole, so each stored entry, a wrong one too, takes part.  For one left
+    generator a_g at a time, the terms of a_g a_h and a_h a_g for every h
+    come from joining a_g's columns with the rows of all generators and
+    a_g's rows with their columns (kernel.join); the right-hand side adds
+    a_il and -a_kj as further terms.  Terms are summed per entry
     (h, row, col) before the maxima are taken, so the residual and the
     scale are the maxima of the dense matrices.
     """
     report = VerificationReport("relations")
     N, d = rep.N, rep.dim
-    parts = []
-    for i, j in itertools.product(range(1, N + 1), repeat=2):  # g = (i-1)N + j-1
-        m = rep.gen(i, j)
-        rows, cols = np.nonzero(m)
-        parts.append((rows, cols, m[rows, cols]))
-    counts = [len(rows) for rows, _, _ in parts]
-    start = np.zeros(N * N + 1, dtype=np.intp)
-    np.cumsum(counts, out=start[1:])
-    gen = np.repeat(np.arange(N * N), counts)
-    row, col, val = (np.concatenate(a) for a in zip(*parts))
+    row, col, val = rep.entries
+    gen, start = rep.entry_gen, rep.entry_starts  # generator g = (i-1)N + j-1
     # An entry (h, row, col) of a product or of the right-hand side has the
     # key h*d^2 + row*d + col.  One table holds every triplet twice: sorted
     # by row, where a_g's column j finds the rows j of all a_h (terms of
@@ -135,9 +129,7 @@ def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
     by_col = np.argsort(col, kind="stable")
     table_key = np.concatenate(((gen_key + col)[by_row], (gen_key + row * d)[by_col]))
     table_val = np.concatenate((val[by_row], val[by_col]))
-    table_start = np.zeros(2 * d + 1, dtype=np.intp)
-    np.cumsum(np.bincount(np.concatenate((row, col + d)), minlength=2 * d),
-              out=table_start[1:])
+    table_start = offsets(np.concatenate((row, col + d)), 2 * d)
     key = gen_key + row * d + col
     with_second = [np.flatnonzero(gen % N == j) for j in range(N)]
     worst = 0.0
@@ -145,11 +137,7 @@ def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
     for g in range(N * N):
         i, j = divmod(g, N)
         own = slice(start[g], start[g + 1])
-        lookup = np.concatenate((col[own], row[own] + d))
-        lo = table_start[lookup]
-        found = table_start[lookup + 1] - lo
-        src = np.repeat(np.arange(len(lookup)), found)
-        at = np.repeat(lo + found - np.cumsum(found), found) + np.arange(len(src))
+        src, at = join(np.concatenate((col[own], row[own] + d)), table_start)
         left_key = np.concatenate((row[own] * d, col[own]))
         left_val = np.concatenate((val[own], val[own]))
         plus = slice(start[i * N], start[(i + 1) * N])  # +a_il on h = (j, l)
@@ -158,7 +146,7 @@ def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
                                key[plus] + (j - i) * N * d * d,
                                key[minus] + (i - j) * d * d))
         vals = np.concatenate((table_val[at] * left_val[src], val[plus], -val[minus]))
-        n_ab = int(found[:len(lookup) // 2].sum())  # terms of a_g a_h come first
+        n_ab = int(np.searchsorted(src, start[g + 1] - start[g]))  # terms of a_g a_h first
         channel = np.repeat([0, 1, 2], [n_ab, len(src) - n_ab, len(keys) - len(src)])
         entries, inverse = np.unique(keys, return_inverse=True)
         size = len(entries)

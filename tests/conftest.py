@@ -1,0 +1,22 @@
+import numpy as np
+import pytest
+
+from charid.kernel import Triplets
+
+
+def _replace_generator(rep, i, j, matrix):
+    """Make the dense matrix the stored generator a_ij of rep: its nonzero
+    entries replace a_ij's in the one triplet table every check reads, and
+    the dense copies made from the old table are dropped."""
+    parts = [rep.triplets(*key) for key in rep.generator_labels()]
+    rows, cols = np.nonzero(matrix)
+    parts[(i - 1) * rep.N + j - 1] = Triplets(rows, cols, np.asarray(matrix)[rows, cols])
+    g = np.repeat(np.arange(len(parts)), [len(t.rows) for t in parts])
+    rep._store(g, *(np.concatenate(a) for a in zip(*parts)))
+
+
+@pytest.fixture
+def replace_generator():
+    """A tampering helper for negative controls: replace_generator(rep, i,
+    j, matrix) puts a changed a_ij into the module's one triplet store."""
+    return _replace_generator

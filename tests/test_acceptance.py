@@ -386,14 +386,14 @@ def test_relations_suite_matches_dense_loop(reps):
 
 
 @pytest.mark.parametrize("where", ["nonzero", "zero"])
-def test_relations_suite_fails_on_a_wrong_entry(where):
+def test_relations_suite_fails_on_a_wrong_entry(where, replace_generator):
     """One entry of a_{1,3} of (2,1,0), which is built as a commutator,
     moved by 1e-3 where it was nonzero, or set where it was zero."""
     rep = Representation((2, 1, 0))
     matrix = rep.gen(1, 3).copy()
     entry = tuple(np.argwhere((matrix != 0) == (where == "nonzero"))[0])
     matrix[entry] += 1e-3
-    rep._gen[(1, 3)] = matrix
+    replace_generator(rep, 1, 3, matrix)
     check = _assert_matches_dense(rep)
     assert not check.passed and check.residual > 1e-4
 

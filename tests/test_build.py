@@ -3,8 +3,9 @@
 The reference below builds a module one pattern at a time, the way the
 closed forms read: patterns by branching down the chain, diagonal entries
 from pattern_weight, each ladder coefficient from elementary_coefficient on
-the shifted pattern, the other generators as commutators.  The batched build
-must give the same floats bit for bit and the same exact sidecar."""
+the shifted pattern, the other generators as dense commutators.  The
+batched build must give the same floats bit for bit, store exactly their
+nonzero entries as triplets, and give the same exact sidecar."""
 
 import itertools
 import math
@@ -13,9 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import charid.glrep
+import charid.kernel
+import charid.verify
+from charid.cli import main
 from charid.glrep import Representation, _exact_ratios, elementary_coefficient
 from charid.gtbasis import GTPattern, branch, check_highest_weight, pattern_weight
-from charid.kernel import ConsistencyError, commutator
+from charid.kernel import ConsistencyError, Surd, commutator
 from charid.verify import run_suite
 
 DENSE_VERIFY_SHAPES = [(6, 6, 5, 0), (6, 1, 0, 0), (5, 5, 3, 0), (5, 2, 0, 0),
@@ -65,6 +70,12 @@ def _assert_matches_reference(lam):
     patterns, ordinal, gen, surds = _reference(lam)
     assert rep.generator_labels() == sorted(gen)
     for key, expected in gen.items():
+        # the stored triplets are the row-major nonzeros of the dense
+        # matrices, the commutator-built ones too
+        rows, cols, values = rep.triplets(*key)
+        r, c = np.nonzero(expected)
+        assert np.array_equal(rows, r) and np.array_equal(cols, c), (lam, key)
+        assert np.array_equal(values, expected[r, c]), (lam, key)
         assert np.array_equal(rep.gen(*key), expected), (lam, key)
     assert rep.patterns == patterns
     assert rep.ordinal == ordinal
@@ -132,3 +143,23 @@ def test_product_suites_never_build_patterns(suite):
     assert run_suite(suite, rep=rep).passed
     for name in ("patterns", "ordinal", "raising_surds"):
         assert name not in rep.__dict__, name
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a sparse job reached dense or exact-scalar code")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "--algebra", "gl4", "--weight", "5/2,1/2,-1/2,-7/2"],
+    ["rep", "--algebra", "gl5", "--weight", "3,2,2,1,0", "--format", "csv"],
+    ["verify", "--algebra", "gl5", "--weight", "3,2,2,1,0", "--suite", "relations"],
+], ids=["rep-json", "rep-csv", "relations"])
+def test_rep_and_relations_jobs_stay_sparse(argv, monkeypatch, capsys):
+    """No dense generator, dense commutator or Surd is made by an export
+    or a relations job."""
+    monkeypatch.setattr(Representation, "gen", _forbidden)
+    for module in (charid.kernel, charid.glrep, charid.verify):
+        monkeypatch.setattr(module, "commutator", _forbidden)
+    monkeypatch.setattr(Surd, "__post_init__", _forbidden)
+    assert main(argv) == 0
+    assert capsys.readouterr().out

@@ -1,16 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charid.cli
 from charid.cli import main, parse_algebra, parse_weight, render_json
 from charid.glrep import Representation
+from charid.gtbasis import row_starts, table_labels, table_weights
 from charid.kernel import DomainError
-from charid.superglmn import SuperWeight
+from charid.superglmn import SuperWeight, super_vector_weight, vector_rep
 
 
 def run(capsys, *argv):
@@ -251,3 +255,139 @@ def test_cli_import_loads_no_scipy():
          "if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Reference for the export: the payload built entry by entry, with the
+# elementary values from the exact Surd sidecar and the commutator-built
+# ones from the dense matrices, written by a recursive JSON emitter.
+
+def _reference_json(value) -> str:
+    parts = []
+
+    def emit(v):
+        if isinstance(v, dict):
+            parts.append("{")
+            for idx, (key, item) in enumerate(v.items()):
+                if idx:
+                    parts.append(", ")
+                parts.append(json.dumps(str(key)) + ": ")
+                emit(item)
+            parts.append("}")
+        elif isinstance(v, list):
+            parts.append("[")
+            for idx, item in enumerate(v):
+                if idx:
+                    parts.append(", ")
+                emit(item)
+            parts.append("]")
+        elif isinstance(v, int):
+            parts.append(str(v))
+        elif isinstance(v, float):
+            assert math.isfinite(v)
+            parts.append("%.17g" % v)
+        else:
+            parts.append(json.dumps(v))
+
+    emit(value)
+    return "".join(parts) + "\n"
+
+
+def _reference_triplets(matrix):
+    rows, cols = np.nonzero(matrix)
+    return [list(t) for t in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())]
+
+
+def _reference_payload(algebra, labels):
+    if "|" in algebra:
+        m, n = (int(x) for x in algebra[2:].split("|"))
+        gens = vector_rep(m, n)
+        return {"schema": 1, "command": "rep", "algebra": algebra,
+                "weight": [str(x) for x in super_vector_weight(m, n).labels()],
+                "dimension": m + n,
+                "generators": [{"name": f"a_{p}_{q}", "kind": "vector", "rows": m + n,
+                                "cols": m + n, "triplets": _reference_triplets(gens[(p, q)])}
+                               for p, q in sorted(gens)]}
+    rep = Representation(labels)
+    starts = row_starts(rep.N)
+    basis = [{"ordinal": c, "rows": [[str(rep.weight[-1] + int(o))
+                                       for o in row[starts[k]:starts[k] + k]]
+                                      for k in range(rep.N, 0, -1)]}
+             for c, row in enumerate(rep.table)]
+    diagonals = table_labels(rep.weight, table_weights(rep.table, rep.N), str)
+    generators = []
+    for i, j in rep.generator_labels():
+        if i == j:
+            triplets = [[c, c, str(v)] for c, v in enumerate(diagonals[:, i - 1]) if v != "0"]
+            kind = "diagonal"
+        elif abs(i - j) == 1:
+            surds = rep.raising_surds[min(i, j)]
+            exact = surds if j == i + 1 else {(c, r): v for (r, c), v in surds.items()}
+            triplets = [[r, c, str(v)] for (r, c), v in sorted(exact.items())]
+            kind = "elementary"
+        else:
+            triplets = _reference_triplets(rep.gen(i, j))
+            kind = "nonelementary"
+        generators.append({"name": f"a_{i}_{j}", "kind": kind, "rows": rep.dim,
+                           "cols": rep.dim, "triplets": triplets})
+    return {"schema": 1, "command": "rep", "algebra": algebra,
+            "weight": [str(x) for x in rep.weight], "dimension": rep.dim,
+            "basis": basis, "generators": generators}
+
+
+def _reference_csv(payload):
+    lines = ["generator,row,col,value"]
+    for gen in payload["generators"]:
+        for r, c, value in gen["triplets"]:
+            rendered = "%.17g" % value if isinstance(value, float) else str(value)
+            lines.append(f"{gen['name']},{r},{c},{rendered}")
+    return "\n".join(lines) + "\n"
+
+
+EXPORTS = [
+    ("gl1", "-5/2"),
+    ("gl2", "3/2,-1/2"),
+    ("gl2", "0,-3"),
+    ("gl3", "5,3,-2"),
+    ("gl3", "1/2,-1/2,-7/2"),
+    ("gl4", "2,1,-1,-3"),
+    ("gl4", "9/2,5/2,1/2,-3/2"),
+    ("gl5", "7/2,7/2,5/2,3/2,1/2"),
+    ("gl5", "3,2,2,1,0"),
+    ("gl5", "-1,-1,-2,-3,-3"),
+    # the ladder products of this gl(12) module reach 2**53 and are taken
+    # in Python ints
+    ("gl12", ",".join(["3/2"] + ["-1/2"] * 11)),
+    ("gl2|1", "1,0|0"),
+    ("gl2|2", "1,0|0,0"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("algebra, text", EXPORTS, ids=[e[0] + ":" + e[1] for e in EXPORTS])
+def test_rep_export_is_byte_identical_to_reference(capsys, algebra, text, fmt):
+    labels = tuple(Fraction(x) for x in text.replace("|", ",").split(","))
+    payload = _reference_payload(algebra, labels)
+    expected = _reference_json(payload) if fmt == "json" else _reference_csv(payload)
+    code, out, _ = run(capsys, "rep", "--algebra", algebra, f"--weight={text}", "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+def test_gl12_export_weight_takes_the_python_int_path():
+    rep = Representation((Fraction(3, 2),) + (Fraction(-1, 2),) * 11)
+    assert any(nums.dtype == object for _, _, nums, _ in rep._ladders.values())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rep_export_refuses_non_finite_values(capsys, monkeypatch, replace_generator, fmt):
+    def tampered(labels):
+        rep = Representation(labels)
+        matrix = rep.gen(1, 3).copy()
+        matrix[tuple(np.argwhere(matrix)[0])] = np.nan
+        replace_generator(rep, 1, 3, matrix)
+        return rep
+
+    monkeypatch.setattr(charid.cli, "Representation", tampered)
+    code, out, err = run(capsys, "rep", "--algebra", "gl3", "--weight", "2,1,0", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "non-finite float nan" in err

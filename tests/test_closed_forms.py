@@ -68,13 +68,13 @@ def _check(report, prefix):
     return check
 
 
-def test_melcross_fails_on_a_moved_commutator_entry():
+def test_melcross_fails_on_a_moved_commutator_entry(replace_generator):
     rep = Representation((2, 1, 0))
     assert run_suite("melcross", rep=rep).passed
     moved = rep.gen(1, 3).copy()
     row, col = np.argwhere(moved)[0]
     moved[row, col] += 1e-3
-    rep._gen[(1, 3)] = moved
+    replace_generator(rep, 1, 3, moved)
     report = run_suite("melcross", rep=rep)
     assert not report.passed
     assert _check(report, "|a_1,3|").residual == pytest.approx(1e-3)

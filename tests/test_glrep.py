@@ -189,7 +189,7 @@ def test_casimir_scalar_through_order_four():
         casimir_sigma(rep, order)  # raises SchurViolationError on failure
 
 
-def test_casimir_detects_non_scalar():
+def test_casimir_detects_non_scalar(replace_generator):
     rep = Representation((2, 1, 0))
     broken = gl_block_matrix(rep, "A").copy()
     broken[0, 0] += 0.5  # corrupt one generator entry
@@ -199,8 +199,8 @@ def test_casimir_detects_non_scalar():
     assert max_abs(traced - scalar * np.eye(rep.dim)) > 0.1
     with pytest.raises(SchurViolationError):
         rep2 = Representation((2, 1, 0))
-        rep2._gen[(1, 1)] = rep2._gen[(1, 1)] + np.diag(
-            [0.5] + [0.0] * (rep2.dim - 1))
+        replace_generator(rep2, 1, 1, rep2.gen(1, 1) + np.diag(
+            [0.5] + [0.0] * (rep2.dim - 1)))
         casimir_sigma(rep2, 2)
 
 

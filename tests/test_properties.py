@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charid.charident import alpha_bar_roots, alpha_roots
-from charid.glrep import Representation
+from charid.glrep import Representation, sparse_commutator
+from charid.kernel import Triplets
 from charid.gtbasis import dimension, pattern_table, table_patterns, weight
 from charid.verify import run_suite
 
@@ -115,3 +116,57 @@ def test_shifted_weights_pass_the_closed_form_suites(lam):
     rep = Representation(lam)
     for suite in ("melcross", "invariants"):
         assert run_suite(suite, rep=rep).passed, suite
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(a, b, exact): two d x d matrices, d in 1..9, with a share 0.05 to 1
+    of their entries nonzero.  The entries are small integers when exact,
+    so every product and sum is exact; otherwise signed square roots of
+    1..50, as in ladder operators."""
+    d = draw(st.integers(1, 9))
+    density = draw(st.sampled_from((0.05, 0.2, 0.5, 1.0)))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def matrix():
+        if exact:
+            values = rng.integers(-9, 10, size=(d, d)).astype(float)
+        else:
+            values = rng.choice([-1.0, 1.0], size=(d, d)) * np.sqrt(rng.integers(1, 51, size=(d, d)))
+        return np.where(rng.random((d, d)) < density, values, 0.0)
+
+    return matrix(), matrix(), exact
+
+
+def _stored(matrix):
+    rows, cols = np.nonzero(matrix)
+    return Triplets(rows, cols, matrix[rows, cols])
+
+
+@PROPERTY_SETTINGS
+@given(sparse_pairs())
+def test_sparse_commutator_is_the_dense_commutator(case):
+    """The triplet commutator holds the nonzero entries of a @ b - b @ a,
+    row-major and without explicit zeros.  Products of d terms at most are
+    summed in another order than the dense matmul's, so each value may
+    differ by rounding: at most (d + 2) eps times the sum of the terms'
+    magnitudes, which is zero where no term exists.  Exact inputs give the
+    same matrix bit for bit."""
+    a, b, exact = case
+    d = len(a)
+    got = sparse_commutator(_stored(a), _stored(b), d)
+    keys = got.rows * d + got.cols
+    assert np.all(np.diff(keys) > 0) and np.all(got.values != 0)
+    dense = a @ b - b @ a
+    scattered = np.zeros((d, d))
+    scattered[got.rows, got.cols] = got.values
+    if exact:
+        assert np.array_equal(scattered, dense)
+        assert np.array_equal(scattered != 0, dense != 0)
+        return
+    bound = (d + 2) * np.finfo(float).eps * (np.abs(a) @ np.abs(b) + np.abs(b) @ np.abs(a))
+    assert np.all(np.abs(scattered - dense) <= bound)
+    decided = np.abs(dense) > 2 * bound  # rounding cannot make these zero
+    assert np.array_equal((scattered != 0)[decided], (dense != 0)[decided])
+    assert not np.any(scattered[bound == 0]) and not np.any(dense[bound == 0])
