@@ -10,6 +10,7 @@ documented exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = 1
 _ALGEBRA_RE = re.compile(r"^gl(\d+)(?:\|(\d+))?$")
+_NEGATIVE_LABEL_RE = re.compile(r"^-[\d.]")
 
 
 @dataclass(frozen=True)
@@ -321,7 +323,10 @@ def cmd_classify(spec: JobSpec) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about ten times as much as parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="charid",
         description="Characteristic identities and Gelfand-Tsetlin "
@@ -350,10 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_weight(argv) -> list[str]:
+    """argv with each `--weight VALUE` whose VALUE is a negative label
+    list, like -1,-3 or -1/2,-3/2, joined into `--weight=VALUE`: argparse
+    takes such a value for an option and reports the weight missing."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--weight" and _NEGATIVE_LABEL_RE.match(arg):
+            out[-1] = f"--weight={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_weight(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     spec = JobSpec(

@@ -508,10 +508,11 @@ def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
     return out
 
 
-def gl_block_matrix(rep: Representation, kind: str = "A",
-                    level: int | None = None) -> np.ndarray:
-    """(s*d) x (s*d) matrix with generator blocks, s = level (default N),
-    scattered in one go from the module's stored triplets.
+def gl_block_entries(rep: Representation, kind: str = "A", level: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(rows, cols, values, size) of the nonzero entries of the
+    (s*d) x (s*d) matrix with generator blocks, s = level (default N), read
+    from the module's stored triplets; size = s*d.
 
     kind "A" places a_{ij} at block (i, j); kind "Abar" places -a_{ji}.
     A level below N restricts to the gl(level) subalgebra generators.
@@ -529,8 +530,15 @@ def gl_block_matrix(rep: Representation, kind: str = "A",
     if s < rep.N:
         keep = (i < s) & (j < s)
         rows, cols, values, i, j = (a[keep] for a in (rows, cols, values, i, j))
-    big = np.zeros((s * d, s * d))
-    big[i * d + rows, j * d + cols] = values
+    return i * d + rows, j * d + cols, values, s * d
+
+
+def gl_block_matrix(rep: Representation, kind: str = "A",
+                    level: int | None = None) -> np.ndarray:
+    """The dense matrix of gl_block_entries, scattered in one go."""
+    rows, cols, values, size = gl_block_entries(rep, kind, level)
+    big = np.zeros((size, size))
+    big[rows, cols] = values
     return big
 
 

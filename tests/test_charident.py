@@ -13,18 +13,20 @@ from charid.kernel import (
     max_abs,
 )
 from charid.gtbasis import (
-    branch, dimension, enumerate_patterns, is_dominant, pattern_weight, weight)
-from charid.glrep import Representation
+    branch, dimension, enumerate_patterns, is_dominant, pattern_weight, table_labels, weight)
+import charid.verify
+from charid.glrep import Representation, gl_block_entries, gl_block_matrix
 from charid.charident import (
+    DENSE_BELOW,
     KIND_A,
     KIND_ABAR,
     KIND_GENERAL,
     Blocks,
-    CharMatrix,
     DualVectorRep,
     Root,
     _blocked_product,
     _components,
+    _pattern_components,
     _support_residual,
     build_char_matrix,
     build_projector,
@@ -34,6 +36,7 @@ from charid.charident import (
     elementary_square_from_invariants,
     general_root_candidates,
     invariant_C_eigenvalue,
+    invariant_C_sums,
     invariant_M_eigenvalue,
     norm_invariant_diagonals,
     restricted_projector,
@@ -42,6 +45,7 @@ from charid.charident import (
     verify_identity,
 )
 from charid.glrep import casimir_eigenvalue_formula
+from charid.verify import run_suite
 
 TOL = Tolerance()
 
@@ -422,18 +426,83 @@ def test_blocked_products_match_dense_reference(lam):
             assert projector.rank == root.multiplicity
 
 
-def test_blocks_keep_an_entry_joining_two_blocks():
-    rep = _sweep_rep((3, 2, 1, 0))
+def test_blocks_keep_an_entry_joining_two_blocks(replace_generator):
+    """A stray entry of a_ij in the triplet store lands at (i, j) of the
+    kind-A matrix; it joins the two blocks it connects, and the identity
+    fails."""
+    rep = Representation((3, 2, 1, 0))
+    d = rep.dim
     cm = build_char_matrix(rep, KIND_A)
     spectrum = char_roots(rep.weight, KIND_A)
     assert verify_identity(cm, spectrum)[0].passed
     first, second = cm.blocks.index[-1][0], cm.blocks.index[-2][0]
+    (i, row), (j, col) = divmod(int(first[0]), d), divmod(int(second[0]), d)
+    matrix = rep.gen(i + 1, j + 1).copy()
+    assert matrix[row, col] == 0.0
+    matrix[row, col] = 0.5
+    replace_generator(rep, i + 1, j + 1, matrix)
+    corrupted = build_char_matrix(rep, KIND_A)
+    assert len(corrupted.blocks.index[-1][0]) == len(first) + len(second)
     bad = cm.big.copy()
     bad[first[0], second[0]] = 0.5
-    corrupted = CharMatrix(cm.kind, cm.weight, cm.block_count, cm.block_size, bad)
-    assert len(corrupted.blocks.index[-1][0]) == len(first) + len(second)
     assert np.array_equal(corrupted.blocks.dense(), bad)
     assert not verify_identity(corrupted, spectrum)[0].passed
+
+
+DENSE_VERIFY_SHAPES = [(6, 6, 5, 0), (6, 1, 0, 0), (5, 5, 3, 0), (5, 2, 0, 0),
+                       (4, 3, 3, 3, 0), (4, 1, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("lam", BLOCK_SWEEP + DENSE_VERIFY_SHAPES, ids=str)
+def test_blocks_from_triplets_equal_the_dense_split(lam):
+    """The blocks scattered from the triplets are those cut from the dense
+    matrix, bit for bit, for both kinds at every level."""
+    rep = _sweep_rep(lam)
+    for kind in (KIND_A, KIND_ABAR):
+        for level in range(1, rep.N + 1):
+            rows, cols, values, size = gl_block_entries(rep, kind, level)
+            big = gl_block_matrix(rep, kind, level)
+            index = _pattern_components(rows, cols, size)
+            assert _same_arrays(index, _components(big)), (lam, kind, level)
+            blocks = Blocks.from_entries(rows, cols, values, size)
+            expected = Blocks.of(big)  # Blocks.split(big, _components(big)) from 128 rows
+            assert blocks.size == expected.size
+            assert _same_arrays(blocks.index, expected.index), (lam, kind, level)
+            assert _same_arrays(blocks.stacks, expected.stacks), (lam, kind, level)
+            if level == rep.N:
+                assert _same_arrays(build_char_matrix(rep, kind).blocks.stacks, blocks.stacks)
+            for start in range(0, size, rep.dim):
+                window = blocks.window(start, start + rep.dim)
+                assert np.array_equal(window, big[start:start + rep.dim, start:start + rep.dim])
+
+
+def _same_arrays(first, second) -> bool:
+    return len(first) == len(second) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("suite", ["identity", "projectors", "invariants"])
+def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch):
+    """On a module of 128+ block rows the suites read the characteristic
+    matrices and their projectors as blocks only: neither `big` nor
+    `matrix` is ever assembled."""
+    made = []
+
+    def keep(fn):
+        def wrapped(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(charid.verify, "build_char_matrix", keep(build_char_matrix))
+    monkeypatch.setattr(charid.verify, "build_projector", keep(build_projector))
+    rep = Representation((3, 2, 1, 0))
+    assert rep.N * rep.dim >= DENSE_BELOW
+    assert run_suite(suite, rep=rep).passed
+    assert made
+    for value in made:
+        assert "big" not in value.__dict__ and "matrix" not in value.__dict__, value
 
 
 @pytest.mark.parametrize("lam", BLOCK_SWEEP, ids=str)
@@ -451,6 +520,23 @@ def test_blocks_follow_the_weight_grading(lam):
             assert np.all(grade[table] == grade[table[:, :1]]), (lam, kind)
         states = np.sort(np.concatenate([table.ravel() for table in index]))
         assert np.array_equal(states, np.arange(rep.N * d)), (lam, kind)
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 2), Fraction(-22, 7)], ids=str)
+def test_c_sums_match_the_scalar_form(shift):
+    """The integer-table sums of C_k over k, one per branch, against the
+    exact Fraction sums of invariant_C_eigenvalue on the acceptance sweep."""
+    for lam in BLOCK_SWEEP:
+        if len(lam) < 2:
+            continue
+        rep = Representation(tuple(x + shift for x in lam))
+        branches, sums, common = invariant_C_sums(rep)
+        mus = [tuple(row) for row in table_labels(rep.weight, branches, Fraction).tolist()]
+        assert sorted(mus) == sorted(branch(rep.weight)), lam
+        for mu, total in zip(mus, sums):
+            assert Fraction(total, common) == sum(
+                invariant_C_eigenvalue(rep.weight, mu, k) for k in range(1, rep.N + 1)), (lam, mu)
+            assert total == common, (lam, mu)
 
 
 def _loop_support_residual(rep, r, components):

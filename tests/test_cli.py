@@ -391,3 +391,54 @@ def test_rep_export_refuses_non_finite_values(capsys, monkeypatch, replace_gener
     code, out, err = run(capsys, "rep", "--algebra", "gl3", "--weight", "2,1,0", "--format", fmt)
     assert code == 2 and out == ""
     assert "non-finite float nan" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--algebra", "gl2", "--weight", "-1,-3"),
+    ("roots", "--algebra", "gl2", "--weight", "-1/2,-3/2", "--kind", "Abar"),
+    ("roots", "--algebra", "gl1|1", "--weight", "-1,0"),
+    ("rep", "--algebra", "gl2", "--weight", "-1/2,-3/2", "--format", "csv"),
+    ("verify", "--algebra", "gl3", "--weight", "-.5,-1.5,-2.5", "--suite", "relations"),
+], ids=" ".join)
+def test_negative_weight_as_separate_argument(capsys, argv):
+    """A weight whose first label is negative may follow --weight as its
+    own argument, with the output of the --weight=... form."""
+    joined = list(argv)
+    at = joined.index("--weight")
+    joined[at:at + 2] = [f"--weight={argv[at + 1]}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    expected = run(capsys, *joined)
+    if argv[0] == "verify":
+        out, expected = json.loads(out), (expected[0], json.loads(expected[1]), expected[2])
+        out.pop("duration_ms"), expected[1].pop("duration_ms")
+    assert (code, out, err) == expected
+
+
+def test_weight_option_still_needs_a_value(capsys):
+    code, out, err = run(capsys, "roots", "--algebra", "gl2", "--weight", "--kind", "A")
+    assert code == 2 and out == ""
+    assert "expected one argument" in err
+
+
+def test_main_reuses_its_parser_across_commands(capsys):
+    """One process runs alternating commands, an invalid one among them, on
+    the parser built once; each gives what a freshly built parser gives."""
+    jobs = [
+        ("roots", "--algebra", "gl3", "--weight", "2,1,0"),
+        ("rep", "--algebra", "gl2", "--weight", "1,0", "--format", "csv"),
+        ("verify", "--algebra", "gl3", "--suite", "identity"),  # no weight: exits 2
+        ("classify", "--algebra", "gl2|1", "--weight", "1,0,0"),
+        ("roots", "--algebra", "gl3", "--weight", "2,1,0", "--kind", "Abar"),
+        ("verify", "--algebra", "gl2", "--weight", "1,0", "--suite", "nonsense"),
+        ("rep", "--algebra", "gl2", "--weight", "1,0"),
+    ]
+    charid.cli.build_parser.cache_clear()
+    fresh = []
+    for argv in jobs:
+        fresh.append(run(capsys, *argv))
+        charid.cli.build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in jobs]
+    assert charid.cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 2, 0]
+    assert reused == fresh
