@@ -12,6 +12,7 @@ Lagrange products with operator nodes project onto branch components.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -71,8 +72,11 @@ class Root:
 # 0.45/0.40, 144 rows 0.68/0.28; restricted projectors (operator nodes)
 # 96 rows 1.0/1.4, 105 rows 2.3/1.8, 135 rows 1.0/1.3, 160 rows 4.0/1.9.
 # Between 96 and 144 rows lie only the benchmark's invariants jobs on
-# gl(5) dim 24, gl(6) dim 21 and gl(4) dim 45, where either layout costs
-# under 1 ms of a 20-30 ms suite; dense-verify matrices have 800+ rows.
+# gl(5) dim 24, gl(6) dim 21 and gl(4) dim 45 (96, 105 and 135 restricted
+# rows); dense-verify matrices have 800+ rows.  Their whole suites, every
+# matrix whole against every matrix split, ranges over repeats on a shared
+# 2-vCPU machine: 7.4-8.9/8.2-9.8 ms, 10.9-13.2/6.4-10.6 ms and
+# 9.9-12.6/6.8-10.5 ms.
 DENSE_BELOW = 128
 
 
@@ -141,8 +145,11 @@ class Blocks:
         """The blocks of the size x size matrix whose entries (rows, cols)
         are values and all others zero, as Blocks.of gives them, scattered
         without the dense matrix.  No position may come twice."""
-        index = (_pattern_components(rows, cols, size) if size >= DENSE_BELOW
-                 else (np.arange(size)[None, :],))
+        if size < DENSE_BELOW:
+            whole = np.zeros((1, size, size))
+            whole[0, rows, cols] = values
+            return cls(size, (np.arange(size)[None, :],), (whole,))
+        index = _pattern_components(rows, cols, size)
         # All stacks are views of one flat buffer.  Each state knows where
         # its block starts in it, its place in the block and the block's
         # width, so every entry lands with one assignment.
@@ -185,6 +192,19 @@ class Blocks:
             at = np.broadcast_to(i[:, :, None] - start, stack.shape)
             out[at[pick], np.swapaxes(at, 1, 2)[pick]] = stack[pick]
         return out
+
+    def matmul(self, other: np.ndarray) -> np.ndarray:
+        """self @ other, for a dense other with self.size rows."""
+        if self.whole:
+            return self.stacks[0][0] @ other
+        out = np.empty((self.size,) + other.shape[1:])
+        for i, stack in zip(self.index, self.stacks):
+            out[i] = stack @ other[i]
+        return out
+
+    def transposed(self) -> "Blocks":
+        """The transposed operator, on views of the same stacks."""
+        return self.like(stack.swapaxes(1, 2) for stack in self.stacks)
 
     def trace(self) -> float:
         return float(sum(np.trace(s, axis1=1, axis2=2).sum() for s in self.stacks))
@@ -388,10 +408,8 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     return tuple(out)
 
 
-def _root_product(big: np.ndarray, nodes, target=None
-                  ) -> tuple[np.ndarray, float]:
-    """Ordered product of the factors (big - node), left to right, and the
-    largest absolute entry of any factor.
+def _root_product(big: np.ndarray, nodes, target=None, with_scale: bool = False):
+    """Ordered product of the factors (big - node), left to right.
 
     big is one square matrix or a stack (k, b, b) of them, multiplied as
     one batch.  A node is a scalar root (exact Fraction) or a diagonal
@@ -399,7 +417,9 @@ def _root_product(big: np.ndarray, nodes, target=None
     either is subtracted from the diagonal.  Given a target node, each
     partial product is divided column-wise by (target - node), which makes
     the product a Lagrange interpolation projector.  No nodes give the
-    identity.
+    identity.  With with_scale, returns (product, the largest absolute
+    entry of any factor, 0 for no nodes): the scale of an identity's
+    residual, which no projector needs.
 
     The factor and the two product buffers are allocated once and reused;
     fresh matrices per factor left the heap up to two matrices larger.
@@ -412,7 +432,8 @@ def _root_product(big: np.ndarray, nodes, target=None
     for node in nodes:
         np.copyto(factor, big)
         factor_diagonal -= np.asarray(node, dtype=float)
-        scale = max(scale, max_abs(factor))
+        if with_scale:
+            scale = max(scale, max_abs(factor))
         if product is None:
             product, spare = factor.copy(), np.empty(big.shape)
         else:
@@ -423,31 +444,28 @@ def _root_product(big: np.ndarray, nodes, target=None
     if product is None:
         product = np.empty(big.shape)
         product[...] = np.eye(size)
-    return product, scale
+    return (product, scale) if with_scale else product
 
 
-def _blocked_product(blocks: Blocks, nodes, target=None
-                     ) -> tuple[Blocks, float]:
-    """_root_product on each stack of equal-size blocks.
+def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = False):
+    """_root_product on each stack of equal-size blocks, as Blocks, and with
+    with_scale the largest factor entry over all stacks.
 
     Scalar nodes apply to every block; an operator node is a dense diagonal
-    (float vector of length blocks.size) and is cut into the blocks.  A
-    single whole block is multiplied as the plain matrix.
+    (float vector of length blocks.size) and is cut into the blocks, except
+    for a single whole block, which is in index order.
     """
-    if blocks.whole:
-        product, scale = _root_product(blocks.stacks[0][0], nodes, target)
-        return blocks.like((product[None],)), scale
-    stacks, scale = [], 0.0
-    for index, stack in zip(blocks.index, blocks.stacks):
-        def cut(node):
-            return node[index] if isinstance(node, np.ndarray) else node
+    whole = blocks.whole
 
-        product, stack_scale = _root_product(
-            stack, [cut(node) for node in nodes],
-            None if target is None else cut(target))
-        stacks.append(product)
-        scale = max(scale, stack_scale)
-    return blocks.like(stacks), scale
+    def cut(node, index):
+        return node[index] if isinstance(node, np.ndarray) and not whole else node
+
+    parts = [_root_product(stack, [cut(node, index) for node in nodes], cut(target, index),
+                           with_scale)
+             for index, stack in zip(blocks.index, blocks.stacks)]
+    if not with_scale:
+        return blocks.like(parts)
+    return blocks.like(product for product, _ in parts), max(scale for _, scale in parts)
 
 
 def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
@@ -462,7 +480,7 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
     tol = tol or Tolerance()
     values = sorted({root.value for root in spectrum})
     d = cm.blocks.size
-    product, scale = _blocked_product(cm.blocks, values)
+    product, scale = _blocked_product(cm.blocks, values, with_scale=True)
     residual = product.max_abs()
     threshold = tol.threshold(scale)
     reports = [ResidualReport(
@@ -506,8 +524,7 @@ def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
         return Projector(r, target, cm.blocks.like(
             np.zeros_like(stack) for stack in cm.blocks.stacks))
     nodes = [value for value in values if value != target.value]
-    blocks, _ = _blocked_product(cm.blocks, nodes, target=target.value)
-    return Projector(r, target, blocks)
+    return Projector(r, target, _blocked_product(cm.blocks, nodes, target=target.value))
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +538,30 @@ def _table_roots(rep: Representation, level: int) -> list[np.ndarray]:
     return _roots(list(rep.table[:, start:start + level].T))
 
 
-def operator_root_array(rep: Representation, level: int, k: int,
-                        kind: str) -> np.ndarray:
-    """k-th root of the gl(level) subalgebra as a diagonal operator: one
-    value per basis vector, read from the k-th label of its row `level`."""
-    offsets = rep.table[:, row_starts(rep.N)[level] + k - 1]
-    labels = table_labels(rep.weight, offsets, float)
-    if kind == KIND_A:
-        return labels + (level - k)
-    if kind == KIND_ABAR:
-        return (k - 1) - labels
-    raise DomainError(f"unknown kind {kind!r}")
+def _row_labels(rep: Representation, level: int) -> np.ndarray:
+    """The labels of row `level` of every basis pattern as floats, one row
+    per label: (level, d)."""
+    start = row_starts(rep.N)[level]
+    return table_labels(rep.weight, rep.table[:, start:start + level].T, float)
+
+
+def _restricted_matrix(rep: Representation, level: int, kind: str, labels: np.ndarray
+                       ) -> tuple[Blocks, list[np.ndarray]]:
+    """The gl(level) characteristic matrix of the restriction, held as
+    blocks, and its operator nodes.  Node k is the k-th root of the
+    subalgebra as a diagonal operator, read from the k-th label of each
+    basis vector's row `level` (labels, from _row_labels), repeated over
+    the level block rows."""
+    blocks = Blocks.from_entries(*gl_block_entries(rep, kind, level=level))
+    k = np.arange(1, level + 1)[:, None]
+    roots = labels + (level - k) if kind == KIND_A else (k - 1) - labels
+    return blocks, list(np.tile(roots, level))
+
+
+def _restricted_product(blocks: Blocks, nodes: list[np.ndarray], r: int) -> Blocks:
+    """The r-th restricted projector: the Lagrange product over every node
+    but the r-th, which is the target."""
+    return _blocked_product(blocks, nodes[:r - 1] + nodes[r:], target=nodes[r - 1])
 
 
 def restricted_projector(rep: Representation, level: int, r: int,
@@ -545,15 +575,68 @@ def restricted_projector(rep: Representation, level: int, r: int,
     """
     if not 1 <= r <= level:
         raise DomainError(f"component index {r} outside 1..{level}")
-    blocks = Blocks.from_entries(*gl_block_entries(rep, kind, level=level))
-    nodes = [np.tile(operator_root_array(rep, level, l, kind), level)
-             for l in range(1, level + 1)]
-    out, _ = _blocked_product(blocks, nodes[:r - 1] + nodes[r:], target=nodes[r - 1])
-    return out.dense()
+    return _restricted_product(
+        *_restricted_matrix(rep, level, kind, _row_labels(rep, level)), r).dense()
 
 
-def _block(big: np.ndarray, i: int, j: int, d: int) -> np.ndarray:
-    return big[(i - 1) * d:i * d, (j - 1) * d:j * d]
+@dataclass(eq=False, repr=False)  # a frozen dataclass adds 1 ms to the import
+class ShiftContraction:
+    """Both contraction routes of the r-th shift component of the raising
+    column psi_j = a_{j,n+1} of a gl(n+1) module of dimension d, on the
+    restricted projectors held as blocks.
+
+    components[j - 1] is psi[n;r]_j = sum_i psi_i Pbar[n;r]_ij, and
+    cross[j - 1] is sum_i P[n;r]_ji psi_i, both (n, d, d) arrays.  The
+    residuals are those of ShiftComponents.
+    """
+
+    r: int
+    components: np.ndarray
+    cross: np.ndarray
+    p: Blocks
+    pbar: Blocks
+    contraction_residual: float
+    support_residual: float
+
+
+def raising_column(rep: Representation) -> np.ndarray:
+    """psi_j = a_{j,N} for j = 1..N-1 as one (N-1, d, d) array, scattered
+    from the module's triplet table."""
+    psi = np.zeros((rep.N - 1, rep.dim, rep.dim))
+    for j, psi_j in enumerate(psi, start=1):
+        rows, cols, values = rep.triplets(j, rep.N)
+        psi_j[rows, cols] = values
+    return psi
+
+
+def shift_contractions(rep: Representation, psi: np.ndarray, rs
+                       ) -> Iterator[ShiftContraction]:
+    """The ShiftContraction of each r in rs, one at a time, for the raising
+    column psi = raising_column(rep).
+
+    The restricted characteristic matrices and their operator nodes are
+    built once for all r.  Each r makes its pair of projectors and two
+    products on their blocks (whole-array for a single block, one batched
+    product per stack of equal blocks otherwise): P [psi_1; ...; psi_n],
+    whose block j is cross_j, and Pbar^T [psi_1^T; ...; psi_n^T], whose
+    block j is psi[n;r]_j^T.
+    """
+    n, d = rep.N - 1, rep.dim
+    if n < 1:
+        raise DomainError("shift components need a gl(n+1) module with n >= 1")
+    psi_rows = psi.reshape(n * d, d)
+    psi_cols = psi.swapaxes(1, 2).reshape(n * d, d)
+    labels = _row_labels(rep, n)
+    matrix, matrix_bar = (_restricted_matrix(rep, n, kind, labels) for kind in (KIND_A, KIND_ABAR))
+    for r in rs:
+        if not 1 <= r <= n:
+            raise DomainError(f"component index {r} outside 1..{n}")
+        p = _restricted_product(*matrix, r)
+        pbar = _restricted_product(*matrix_bar, r)
+        cross = p.matmul(psi_rows).reshape(n, d, d)
+        components = pbar.transposed().matmul(psi_cols).reshape(n, d, d).swapaxes(1, 2)
+        yield ShiftContraction(r, components, cross, p, pbar, max_abs(components - cross),
+                               _support_residual(rep, r, components))
 
 
 @dataclass(frozen=True)
@@ -578,31 +661,12 @@ def shift_components(rep: Representation, r: int,
     P[n;r]_{ji} psi_i; their disagreement and the off-shift support (entries
     connecting row-n weights other than mu -> mu + D_r) are reported as
     residuals.  The restricted projectors P[n;r] and Pbar[n;r] built on the
-    way are handed back as p and pbar.
+    way are handed back as dense p and pbar.  A view of shift_contractions.
     """
-    n = rep.N - 1
-    if n < 1:
-        raise DomainError("shift components need a gl(n+1) module with n >= 1")
-    if not 1 <= r <= n:
-        raise DomainError(f"component index {r} outside 1..{n}")
-    d = rep.dim
-    psi = [rep.gen(j, rep.N) for j in range(1, n + 1)]
-    p = restricted_projector(rep, n, r, KIND_A)
-    pbar = restricted_projector(rep, n, r, KIND_ABAR)
-    components = []
-    cross = []
-    for j in range(1, n + 1):
-        comp = np.zeros((d, d))
-        alt = np.zeros((d, d))
-        for i in range(1, n + 1):
-            comp += psi[i - 1] @ _block(pbar, i, j, d)
-            alt += _block(p, j, i, d) @ psi[i - 1]
-        components.append(comp)
-        cross.append(alt)
-    contraction = max(
-        max_abs(c - a) for c, a in zip(components, cross))
-    return ShiftComponents(r, tuple(components), tuple(cross), contraction,
-                           _support_residual(rep, r, components), p, pbar)
+    (sc,) = shift_contractions(rep, raising_column(rep), (r,))
+    return ShiftComponents(r, tuple(sc.components), tuple(sc.cross),
+                           sc.contraction_residual, sc.support_residual,
+                           sc.p.dense(), sc.pbar.dense())
 
 
 def _support_residual(rep: Representation, r: int, components) -> float:
@@ -619,7 +683,7 @@ def _support_residual(rep: Representation, r: int, components) -> float:
     raised[:, r - 1] += 1
     target = np.array([ids.get(row, -1) for row in map(tuple, raised.tolist())])
     off_shift = row_id[:, None] != target[None, :]
-    return max(max_abs(comp[off_shift]) for comp in components)
+    return max_abs(np.asarray(components)[:, off_shift])
 
 
 # ---------------------------------------------------------------------------

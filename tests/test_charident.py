@@ -13,7 +13,8 @@ from charid.kernel import (
     max_abs,
 )
 from charid.gtbasis import (
-    branch, dimension, enumerate_patterns, is_dominant, pattern_weight, table_labels, weight)
+    branch, dimension, enumerate_patterns, format_weight, is_dominant, pattern_weight,
+    table_labels, weight)
 import charid.verify
 from charid.glrep import Representation, gl_block_entries, gl_block_matrix
 from charid.charident import (
@@ -408,7 +409,7 @@ def test_blocked_products_match_dense_reference(lam):
         values = sorted({root.value for root in spectrum})
         reference = _dense_product(cm.big, values)
         for layout in layouts:
-            blocked, _ = _blocked_product(layout, values)
+            blocked = _blocked_product(layout, values)
             assert max_abs(blocked.dense() - reference) <= 1e-12, (lam, kind)
         present = [root.value for root in spectrum if root.multiplicity > 0]
         for r, root in enumerate(spectrum, start=1):
@@ -418,7 +419,7 @@ def test_blocked_products_match_dense_reference(lam):
                 reference = _dense_product(
                     cm.big, [v for v in present if v != root.value], root.value)
             projector = build_projector(cm, spectrum, r)
-            forced, _ = _blocked_product(
+            forced = _blocked_product(
                 layouts[1], [v for v in present if v != root.value], root.value)
             for matrix in (projector.matrix, forced.dense()):
                 assert max_abs(matrix - reference) <= 1e-12, (lam, kind, r)
@@ -579,3 +580,82 @@ def test_support_residual_sees_an_injected_off_shift_entry():
     comps[0][row, col] = -0.25
     assert _support_residual(rep, 1, comps) == 0.25
     assert _loop_support_residual(rep, 1, comps) == 0.25
+
+
+def _reference_shift_checks(rep, tol):
+    """The shift-component and squared-norm checks of the invariants suite
+    as (description, residual, scale), computed the way the suite first
+    did: dense restricted projectors, every psi[n;r]_j as a sum of d x d
+    products psi_i Pbar_ij, and the identities block by block over every
+    (i, j)."""
+    n, d = rep.N - 1, rep.dim
+    lam = format_weight(rep.weight)
+    psi = [rep.gen(j, rep.N) for j in range(1, n + 1)]
+    checks = []
+    comps_by_r = []
+    norm_resid, norm_scale = 0.0, 1.0
+    for r in range(1, n + 1):
+        p = restricted_projector(rep, n, r, KIND_A)
+        pbar = restricted_projector(rep, n, r, KIND_ABAR)
+        comps, cross = [], []
+        for j in range(1, n + 1):
+            comp = np.zeros((d, d))
+            alt = np.zeros((d, d))
+            for i in range(1, n + 1):
+                comp += psi[i - 1] @ _block(pbar, i, j, d)
+                alt += _block(p, j, i, d) @ psi[i - 1]
+            comps.append(comp)
+            cross.append(alt)
+        comps_by_r.append(comps)
+        checks.append((f"shift component contractions agree, r={r} on {lam}",
+                       max(max_abs(c - a) for c, a in zip(comps, cross)),
+                       max(max_abs(c) for c in comps)))
+        checks.append((f"shift component supports only the +D_{r} weight shift on {lam}",
+                       _support_residual(rep, r, comps), 1.0))
+        mbar_num, mbar_den = norm_invariant_diagonals(rep, r, bar=True)
+        m_num, m_den = norm_invariant_diagonals(rep, r, bar=False)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for lhs, rhs in (
+                        (mbar_den[:, None] * (comps[i - 1] @ comps[j - 1].T),
+                         mbar_num[:, None] * _block(p, i, j, d)),
+                        (m_den[:, None] * (comps[i - 1].T @ comps[j - 1]),
+                         m_num[:, None] * _block(pbar, i, j, d))):
+                    norm_resid = max(norm_resid, max_abs(lhs - rhs))
+                    norm_scale = max(norm_scale, max_abs(lhs), max_abs(rhs))
+    completeness = max(max_abs(sum(comps[j] for comps in comps_by_r) - psi[j])
+                       for j in range(n))
+    checks.append((f"shift components sum back to the raising column on {lam}",
+                   completeness, max(max_abs(m) for m in psi)))
+    checks.append((f"squared-norm identities psi psi+ = Mbar P and psi+ psi = M Pbar "
+                   f"(cleared denominators) on {lam}", norm_resid, norm_scale))
+    return checks
+
+
+# Rounding allowance in units of eps: the suite sums each product over all
+# n*d terms at once where the reference summed d-term products one block at
+# a time, so entries may differ in their last bits.  Residuals are compared
+# against max(scale, 1): a contraction's scale is its components' largest
+# entry, itself rounding noise where the r-th shift is forbidden, while the
+# raising column and the projectors have entries of order one.  On the
+# sweep the largest difference is 0.7 ulp, and 1.7 ulps of a threshold.
+REFERENCE_ULPS = 4
+
+
+@pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if len(lam) >= 2]
+                         + [(4, 2, 1, 0)], ids=str)
+def test_invariants_suite_matches_the_per_block_reference(lam):
+    rep = _sweep_rep(lam)
+    report = run_suite("invariants", rep=rep, tol=TOL)
+    reference = _reference_shift_checks(rep, TOL)
+    # The shift checks sit between the corner check and the exact one.
+    assert len(report.checks) == len(reference) + 3
+    checks = report.checks[2:-1]
+    assert [c.description for c in checks] == [desc for desc, _, _ in reference]
+    eps = np.finfo(float).eps
+    for check, (desc, residual, scale) in zip(checks, reference):
+        assert check.passed == (residual <= TOL.threshold(scale)), desc
+        assert abs(check.residual - residual) <= REFERENCE_ULPS * eps * max(scale, 1.0), (
+            desc, check.residual, residual)
+        assert check.threshold == pytest.approx(
+            TOL.threshold(scale), rel=REFERENCE_ULPS * eps, abs=0.0), desc

@@ -19,6 +19,7 @@ from charid.charident import (
     elementary_squares_from_invariants,
 )
 from charid.glrep import Representation, nonelementary_coefficient, nonelementary_magnitudes
+from charid.gtbasis import row_starts
 from charid.verify import run_suite
 
 SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-22, 7)]
@@ -110,3 +111,55 @@ def test_invariants_exact_check_fails_when_an_admissible_shift_reads_as_none(mon
     monkeypatch.setattr(rep, "raised", lambda moves: tuple(a[1:] for a in found(moves)))
     assert not _check(run_suite("invariants", rep=rep),
                       "squared ladder coefficients equal M*Cbar").passed
+
+
+def _any_failed(report, prefix):
+    checks = [c for c in report.checks if c.description.startswith(prefix)]
+    assert checks, prefix
+    return not all(c.passed for c in checks)
+
+
+CONTRACTION = "shift component contractions agree"
+NORMS = "squared-norm identities"
+COMPLETENESS = "shift components sum back to the raising column"
+
+
+# (2,1,0) restricts to a single whole block; (3,3,2,0) restricts to 135
+# rows, which are split into blocks and multiplied one stack at a time.
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 3, 2, 0)], ids=str)
+def test_invariants_residuals_fail_on_a_changed_raising_entry(lam, replace_generator):
+    rep = Representation(lam)
+    assert run_suite("invariants", rep=rep).passed
+    moved = rep.gen(1, rep.N).copy()
+    row, col = np.argwhere(moved)[0]
+    moved[row, col] += 1e-3
+    replace_generator(rep, 1, rep.N, moved)
+    report = run_suite("invariants", rep=rep)
+    assert _any_failed(report, CONTRACTION)
+    assert _any_failed(report, NORMS)
+    # The components split the changed column psi itself, and the
+    # restricted projectors still sum to 1: the completeness check reads
+    # the same psi on both sides and cannot see this change.
+    assert not _any_failed(report, COMPLETENESS)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 0, 0), (3, 3, 2, 0)], ids=str)
+def test_invariants_residuals_fail_on_a_moved_restricted_entry(lam, replace_generator):
+    """An entry of the gl(n) generator a_nn moved to a row with another
+    row n: the restricted matrix then mixes branches and no longer commutes
+    with its operator nodes.  With n >= 3 nodes the restricted projectors
+    stop summing to 1; with two, Pbar_1 + Pbar_2 = 1 holds for any matrix
+    (the Lagrange sum of degree one), so completeness still passes."""
+    rep = Representation(lam)
+    n = rep.N - 1
+    start = row_starts(rep.N)[n]
+    rows_n = rep.table[:, start:start + n]
+    moved = rep.gen(n, n).copy()
+    row, col = np.argwhere(moved)[0]
+    other = next(k for k in range(rep.dim) if not np.array_equal(rows_n[k], rows_n[row]))
+    moved[other, col], moved[row, col] = moved[row, col], 0.0
+    replace_generator(rep, n, n, moved)
+    report = run_suite("invariants", rep=rep)
+    assert _any_failed(report, CONTRACTION)
+    assert _any_failed(report, NORMS)
+    assert _any_failed(report, COMPLETENESS) == (n >= 3)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charid.charident import alpha_bar_roots, alpha_roots
+from charid.charident import (
+    KIND_A, KIND_ABAR, alpha_bar_roots, alpha_roots, build_char_matrix, build_projector,
+    char_roots)
 from charid.glrep import Representation, sparse_commutator
 from charid.kernel import Triplets
-from charid.gtbasis import dimension, pattern_table, table_patterns, weight
+from charid.gtbasis import dimension, is_dominant, pattern_table, table_patterns, weight
 from charid.verify import run_suite
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -97,6 +99,22 @@ def test_roots_move_with_a_shift_by_identity(case):
     moved = weight(x + c for x in base)
     assert alpha_roots(moved) == [a + c for a in alpha_roots(base)]
     assert alpha_bar_roots(moved) == [a - c for a in alpha_bar_roots(base)]
+
+
+@PROPERTY_SETTINGS
+@given(shifted_weights())
+def test_projector_ranks_equal_constituent_dimensions(case):
+    """Each projector's trace is the Weyl dimension of its constituent (0
+    for an absent root), and the ranks of each kind add up to N * dim."""
+    lam, c = case
+    rep = Representation(tuple(x + c for x in lam))
+    for kind in (KIND_A, KIND_ABAR):
+        cm = build_char_matrix(rep, kind)
+        spectrum = char_roots(rep.weight, kind)
+        ranks = [build_projector(cm, spectrum, r).rank for r in range(1, rep.N + 1)]
+        assert ranks == [dimension(root.constituent) if is_dominant(root.constituent) else 0
+                         for root in spectrum], kind
+        assert sum(ranks) == rep.N * rep.dim, kind
 
 
 @st.composite
