@@ -408,18 +408,19 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     return tuple(out)
 
 
-def _root_product(big: np.ndarray, nodes, target=None, with_scale: bool = False):
+def _root_product(big: np.ndarray, nodes, quotients=None, with_scale: bool = False):
     """Ordered product of the factors (big - node), left to right.
 
     big is one square matrix or a stack (k, b, b) of them, multiplied as
-    one batch.  A node is a scalar root (exact Fraction) or a diagonal
-    operator root (float array of big's shape without its last axis);
-    either is subtracted from the diagonal.  Given a target node, each
-    partial product is divided column-wise by (target - node), which makes
-    the product a Lagrange interpolation projector.  No nodes give the
-    identity.  With with_scale, returns (product, the largest absolute
-    entry of any factor, 0 for no nodes): the scale of an identity's
-    residual, which no projector needs.
+    one batch.  A node is a scalar root (float) or a diagonal operator root
+    (float array of big's shape without its last axis); either is
+    subtracted from the diagonal.  Given quotients, one per node of the
+    node's shape (target - node for a target node), each partial product is
+    divided column-wise by its node's quotient, which makes the product a
+    Lagrange interpolation projector.  No nodes give the identity.  With
+    with_scale, returns (product, the largest absolute entry of any factor,
+    0 for no nodes): the scale of an identity's residual, which no
+    projector needs.
 
     The factor and the two product buffers are allocated once and reused;
     fresh matrices per factor left the heap up to two matrices larger.
@@ -429,18 +430,18 @@ def _root_product(big: np.ndarray, nodes, target=None, with_scale: bool = False)
     factor_diagonal = factor.reshape(big.shape[:-2] + (size * size,))[..., ::size + 1]
     product = spare = None
     scale = 0.0
-    for node in nodes:
+    for k, node in enumerate(nodes):
         np.copyto(factor, big)
-        factor_diagonal -= np.asarray(node, dtype=float)
+        factor_diagonal -= node
         if with_scale:
             scale = max(scale, max_abs(factor))
         if product is None:
             product, spare = factor.copy(), np.empty(big.shape)
         else:
             product, spare = np.matmul(product, factor, out=spare), product
-        if target is not None:
-            quotient = np.asarray(target - node, dtype=float)
-            product /= quotient[..., None, :] if quotient.ndim else quotient
+        if quotients is not None:
+            quotient = quotients[k]
+            product /= quotient[..., None, :] if np.ndim(quotient) else quotient
     if product is None:
         product = np.empty(big.shape)
         product[...] = np.eye(size)
@@ -451,21 +452,31 @@ def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = Fals
     """_root_product on each stack of equal-size blocks, as Blocks, and with
     with_scale the largest factor entry over all stacks.
 
-    Scalar nodes apply to every block; an operator node is a dense diagonal
-    (float vector of length blocks.size) and is cut into the blocks, except
-    for a single whole block, which is in index order.
+    Scalar nodes (exact Fractions) apply to every block; an operator node is
+    a dense diagonal (float vector of length blocks.size) and is cut into
+    the blocks, except for a single whole block, which is in index order.
+    The scalar nodes and the quotients target - node, taken exactly, are
+    converted to float once here, not once per stack.
     """
     whole = blocks.whole
+    quotients = None if target is None else [_float(target - node) for node in nodes]
+    nodes = [_float(node) for node in nodes]
 
-    def cut(node, index):
-        return node[index] if isinstance(node, np.ndarray) and not whole else node
+    def cut(nodes, index):
+        if whole or nodes is None:
+            return nodes
+        return [node[index] if isinstance(node, np.ndarray) else node for node in nodes]
 
-    parts = [_root_product(stack, [cut(node, index) for node in nodes], cut(target, index),
-                           with_scale)
+    parts = [_root_product(stack, cut(nodes, index), cut(quotients, index), with_scale)
              for index, stack in zip(blocks.index, blocks.stacks)]
     if not with_scale:
         return blocks.like(parts)
     return blocks.like(product for product, _ in parts), max(scale for _, scale in parts)
+
+
+def _float(node):
+    """A scalar node as a float; an operator node (a float array) as it is."""
+    return node if isinstance(node, np.ndarray) else float(node)
 
 
 def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None

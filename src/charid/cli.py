@@ -141,9 +141,7 @@ def render_json(value) -> str:
         elif isinstance(v, (int, np.integer)):
             parts.append(str(int(v)))
         elif isinstance(v, (float, np.floating)):
-            if not math.isfinite(v):
-                raise DomainError(f"cannot serialize non-finite float {float(v)}")
-            parts.append("%.17g" % float(v))
+            parts.append(_float_json(v))
         elif isinstance(v, Fraction):
             parts.append(json.dumps(str(v)))
         elif isinstance(v, str):
@@ -154,6 +152,27 @@ def render_json(value) -> str:
     emit(value)
     parts.append("\n")
     return "".join(parts)
+
+
+def _float_json(v) -> str:
+    if not math.isfinite(v):
+        raise DomainError(f"cannot serialize non-finite float {float(v)}")
+    return "%.17g" % float(v)
+
+
+_CHECK_JSON = ('{"description": %s, "kind": "%s", "residual": %s, "threshold": %s, '
+               '"passed": %s}')
+
+
+def _checks_json(checks) -> _Raw:
+    """The verify report's check records (CheckRecord.to_dict), each written
+    with one format."""
+    return _Raw("[" + ", ".join(
+        _CHECK_JSON % (json.dumps(c.description), "exact" if c.exact else "residual",
+                       "null" if c.residual is None else _float_json(c.residual),
+                       "null" if c.threshold is None else _float_json(c.threshold),
+                       "true" if c.passed else "false")
+        for c in checks) + "]")
 
 
 def _write_output(text: str, path: str | None):
@@ -291,6 +310,7 @@ def cmd_verify(spec: JobSpec) -> int:
         "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
     }
     payload.update(report.to_dict())
+    payload["checks"] = _checks_json(report.checks)
     _write_output(render_json(payload), spec.output)
     return 0 if report.passed else 1
 

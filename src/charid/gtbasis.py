@@ -259,17 +259,21 @@ def enumerate_patterns(lam) -> list[GTPattern]:
 def dimension(lam) -> int:
     """Weyl dimension formula, prod_{i<j} (lam_i - lam_j + j - i) / (j - i).
 
-    Computed exactly; serves as an independent oracle for the pattern count.
+    Computed exactly, on the integer label offsets lam_i - lam_n, as one
+    integer quotient; serves as an independent oracle for the pattern count.
     """
     lam = check_highest_weight(lam)
     n = len(lam)
-    value = Fraction(1)
+    offsets = [int(x - lam[-1]) for x in lam]
+    numerator = denominator = 1
     for i in range(n):
         for j in range(i + 1, n):
-            value *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    if value.denominator != 1:
+            numerator *= offsets[i] - offsets[j] + j - i
+            denominator *= j - i
+    value, rest = divmod(numerator, denominator)
+    if rest:
         raise DomainError(f"dimension of {lam} is not integral")
-    return int(value)
+    return value
 
 
 def pattern_ordinals(patterns) -> dict[GTPattern, int]:

@@ -206,7 +206,8 @@ def verify_super_identity(m: int, n: int, kind: str,
     lam = super_vector_weight(m, n)
     roots = super_char_roots(lam, kind)
     big = super_char_matrix(m, n, kind, convention)
-    product, scale = _root_product(big, sorted(root.value for root in roots), with_scale=True)
+    product, scale = _root_product(
+        big, [float(value) for value in sorted(root.value for root in roots)], with_scale=True)
     residual = max_abs(product)
     threshold = tol.threshold(scale)
     label = convention or FROZEN_CONVENTION[kind]

@@ -112,42 +112,62 @@ def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
     """[a_ij, a_kl] = d_kj a_il - d_il a_kj over every generator pair.
 
     The module's one table of stored triplets (row, col, value) is read
-    whole, so each stored entry, a wrong one too, takes part.  For one left
-    generator a_g at a time, the terms of a_g a_h and a_h a_g for every h
-    come from joining a_g's columns with the rows of all generators and
-    a_g's rows with their columns (kernel.join); the right-hand side adds
-    a_il and -a_kj as further terms.  Terms are summed per entry
-    (h, row, col) before the maxima are taken, so the residual and the
-    scale are the maxima of the dense matrices.
+    whole, so each stored entry, a wrong one too, takes part.  Each
+    unordered pair of generators {a_g, a_h} is formed once, as (g, h) with
+    h > g.  The maxima over all N^4 ordered pairs are still taken exactly:
+    - the right-hand side of (h, g) is the exact negation of that of
+      (g, h), since each entry has at most the two terms a_ii - a_jj and
+      fl(y - x) = -fl(x - y);
+    - the two products of (h, g) are those of (g, h), each summed in the
+      same order, so the residual of (h, g) is bit for bit the negation of
+      that of (g, h);
+    - (g, g) is exactly 0 on both sides, as in a dense loop.
+    For one left generator a_g at a time, the terms of a_g a_h and a_h a_g
+    for every h > g come from joining a_g's columns with the rows of those
+    a_h and a_g's rows with their columns (kernel.join, each probe starting
+    at its key's first entry with a generator after g); the right-hand side
+    adds a_il and -a_kj on h > g as further terms.  Terms are summed per
+    entry (h, row, col) before the maxima are taken, so the residual and
+    the scale are the maxima of the dense matrices.
     """
     report = VerificationReport("relations")
     N, d = rep.N, rep.dim
+    M = N * N
     row, col, val = rep.entries
     gen, start = rep.entry_gen, rep.entry_starts  # generator g = (i-1)N + j-1
     # An entry (h, row, col) of a product or of the right-hand side has the
     # key h*d^2 + row*d + col.  One table holds every triplet twice: sorted
-    # by row, where a_g's column j finds the rows j of all a_h (terms of
+    # by row, where a_g's column j finds the rows j of the a_h (terms of
     # a_g a_h), then sorted by column at offset d, where a_g's row j finds
-    # the columns j of all a_h (terms of a_h a_g).  Each table entry carries
-    # its part of the key; a_g's entry adds row*d or col.
+    # the columns j of the a_h (terms of a_h a_g).  The triplets are stored
+    # in generator order, so both halves are sorted by (join key, h), and
+    # first[k*N^2 + h] is the first entry with join key k and generator at
+    # least h.  Each table entry carries its part of the key; a_g's entry
+    # adds row*d or col.
     gen_key = gen * d * d
     by_row = np.argsort(row, kind="stable")
     by_col = np.argsort(col, kind="stable")
     table_key = np.concatenate(((gen_key + col)[by_row], (gen_key + row * d)[by_col]))
     table_val = np.concatenate((val[by_row], val[by_col]))
-    table_start = offsets(np.concatenate((row, col + d)), 2 * d)
+    first = offsets(np.concatenate((row * M + gen, (col + d) * M + gen)), 2 * d * M)
+    table_start = first[::M]
     key = gen_key + row * d + col
-    with_second = [np.flatnonzero(gen % N == j) for j in range(N)]
+    with_second = [np.flatnonzero(gen % N == j) for j in range(N)]  # a_kj, k ascending
     worst = 0.0
     scale = 0.0
-    for g in range(N * N):
+    for g in range(M - 1):  # the last generator has no partner after it
         i, j = divmod(g, N)
         own = slice(start[g], start[g + 1])
-        src, at = join(np.concatenate((col[own], row[own] + d)), table_start)
+        probe = np.concatenate((col[own], row[own] + d))
+        src, at = join(probe, table_start, first[probe * M + g + 1])
         left_key = np.concatenate((row[own] * d, col[own]))
         left_val = np.concatenate((val[own], val[own]))
-        plus = slice(start[i * N], start[(i + 1) * N])  # +a_il on h = (j, l)
-        minus = with_second[j]  # -a_kj on h = (k, i)
+        # +a_il lands on h = (j, l), its own index plus (j - i)N, and -a_kj
+        # on h = (k, i), its own index plus i - j; each is kept where h > g.
+        lowest = min(max(g + 1 - (j - i) * N, i * N), (i + 1) * N)
+        plus = slice(start[lowest], start[(i + 1) * N])
+        minus = with_second[j]
+        minus = minus[np.searchsorted(gen[minus], g + 1 + j - i):]
         keys = np.concatenate((table_key[at] + left_key[src],
                                key[plus] + (j - i) * N * d * d,
                                key[minus] + (i - j) * d * d))

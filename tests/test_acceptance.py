@@ -385,17 +385,29 @@ def test_relations_suite_matches_dense_loop(reps):
         assert _assert_matches_dense(Representation(lam)).passed
 
 
+def _tampered_generators(N):
+    """(i, j) of the generators the wrong-entry controls change: both ends
+    of the diagonal, the elementary raising and lowering a_12 and a_21, and
+    the non-elementary generators with the lowest and the highest index g =
+    (i-1)N + j-1.  The suite joins a_g only with the a_h after it, so a_NN
+    and the last non-elementary generator are mostly seen as partners."""
+    return [(1, 1), (N, N), (1, 2), (2, 1), (1, 3), (N, N - 2)]
+
+
 @pytest.mark.parametrize("where", ["nonzero", "zero"])
 def test_relations_suite_fails_on_a_wrong_entry(where, replace_generator):
-    """One entry of a_{1,3} of (2,1,0), which is built as a commutator,
-    moved by 1e-3 where it was nonzero, or set where it was zero."""
-    rep = Representation((2, 1, 0))
-    matrix = rep.gen(1, 3).copy()
-    entry = tuple(np.argwhere((matrix != 0) == (where == "nonzero"))[0])
-    matrix[entry] += 1e-3
-    replace_generator(rep, 1, 3, matrix)
-    check = _assert_matches_dense(rep)
-    assert not check.passed and check.residual > 1e-4
+    """One entry of a generator moved by 1e-3 where it was nonzero, or set
+    where it was zero, on the whole-block module (2,1,0) and the split
+    module (3,2,1,0), for each generator of _tampered_generators."""
+    for lam in [(2, 1, 0), (3, 2, 1, 0)]:
+        for i, j in _tampered_generators(len(lam)):
+            rep = Representation(lam)
+            matrix = rep.gen(i, j).copy()
+            entry = tuple(np.argwhere((matrix != 0) == (where == "nonzero"))[0])
+            matrix[entry] += 1e-3
+            replace_generator(rep, i, j, matrix)
+            check = _assert_matches_dense(rep)
+            assert not check.passed and check.residual > 1e-4, (lam, i, j, entry)
 
 
 @pytest.mark.parametrize("lam", [(0, 0, 0), (0,), (3,), (Fraction(-5, 2),)], ids=str)

@@ -188,6 +188,21 @@ def test_verify_invariants_suite_serializes(capsys):
     assert all(isinstance(c["passed"], bool) for c in payload["checks"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("--algebra", "gl3", "--weight", "2,1,0", "--suite", "invariants"),
+    ("--algebra", "gl3", "--weight", "7/2,5/2,1/2", "--suite", "relations"),
+    ("--algebra", "gl3", "--weight", "2,1,0", "--suite", "projectors", "--tolerance", "1e-30"),
+    ("--algebra", "gl2|1", "--weight", "1,0|0", "--suite", "super"),
+], ids=" ".join)
+def test_verify_check_records_render_as_the_generic_emitter(capsys, argv):
+    """The verify payload writes each check record with one format; the
+    text is what render_json makes of the same values, exact checks'
+    nulls and failed checks included."""
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code in (0, 1)
+    assert out == render_json(json.loads(out))
+
+
 def test_verify_super_suite(capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "gl1|1", "--weight",
                        "1,0", "--suite", "super")

@@ -2,6 +2,7 @@
 multiple of the identity.  Derandomized, so every run draws the same
 examples."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from charid.glrep import Representation, sparse_commutator
 from charid.kernel import Triplets
 from charid.gtbasis import dimension, is_dominant, pattern_table, table_patterns, weight
 from charid.verify import run_suite
+from test_acceptance import _assert_matches_dense
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -59,6 +61,28 @@ def test_shift_by_identity_keeps_relations(case):
     base, moved = _relations(rep), _relations(shifted)
     assert moved.threshold == pytest.approx(base.threshold, rel=1e-14)
     assert abs(moved.residual - base.residual) < 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(shifted_weights())
+def test_relations_suite_matches_the_dense_loop(case):
+    """The suite forms each unordered generator pair once; its residual and
+    threshold still match the dense loop over all N^4 ordered pairs."""
+    lam, c = case
+    assert _assert_matches_dense(Representation(tuple(x + c for x in lam))).passed
+
+
+@PROPERTY_SETTINGS
+@given(shifted_weights())
+def test_dimension_is_the_fraction_product(case):
+    """The integer Weyl dimension equals the product of the N(N-1)/2
+    factors in exact Fractions, for integer and half-integer labels."""
+    lam, c = case
+    lam = weight(x + c for x in lam)
+    value = Fraction(1)
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        value *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert value.denominator == 1 and dimension(lam) == value
 
 
 @st.composite
