@@ -24,6 +24,7 @@ from .kernel import (
     DegenerateRootError,
     DomainError,
     Tolerance,
+    Triplets,
     max_abs,
 )
 from .glrep import (
@@ -40,12 +41,13 @@ from .gtbasis import (
     Weight,
     check_highest_weight,
     dimension,
-    enumerate_patterns,
     is_dominant,
-    pattern_weight,
+    pattern_table,
+    pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
     rows_interlace,
     table_labels,
+    table_weights,
     weight,
 )
 
@@ -78,11 +80,6 @@ class Root:
 # 2-vCPU machine: 7.4-8.9/8.2-9.8 ms, 10.9-13.2/6.4-10.6 ms and
 # 9.9-12.6/6.8-10.5 ms.
 DENSE_BELOW = 128
-
-
-def _components(big: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_pattern_components of the nonzero entries of a dense square matrix."""
-    return _pattern_components(*np.nonzero(big), big.shape[0])
 
 
 def _pattern_components(rows: np.ndarray, cols: np.ndarray, size: int
@@ -126,25 +123,11 @@ class Blocks:
     stacks: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, big: np.ndarray) -> "Blocks":
-        """Split a dense matrix into its blocks; no nonzero entry is left out."""
-        size = big.shape[0]
-        if size < DENSE_BELOW:
-            return cls(size, (np.arange(size)[None, :],), (big[None],))
-        return cls.split(big, _components(big))
-
-    @classmethod
-    def split(cls, big: np.ndarray, index) -> "Blocks":
-        """Cut a dense matrix along the given (k, b) index tables."""
-        return cls(big.shape[0], tuple(index),
-                   tuple(big[i[:, :, None], i[:, None, :]] for i in index))
-
-    @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                      size: int) -> "Blocks":
         """The blocks of the size x size matrix whose entries (rows, cols)
-        are values and all others zero, as Blocks.of gives them, scattered
-        without the dense matrix.  No position may come twice."""
+        are values and all others zero, scattered without the dense matrix.
+        No position may come twice."""
         if size < DENSE_BELOW:
             whole = np.zeros((1, size, size))
             whole[0, rows, cols] = values
@@ -217,10 +200,7 @@ class Blocks:
 class CharMatrix:
     kind: str
     weight: Weight
-    block_count: int
-    block_size: int
     blocks: Blocks
-    mu: Weight | None = None
 
     @cached_property
     def big(self) -> np.ndarray:
@@ -247,11 +227,24 @@ class Projector:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class CheckRecord:
+    """One check of a verification report: a residual against its
+    threshold, or an exact yes or no."""
+
     description: str
-    residual: float
-    threshold: float
     passed: bool
+    residual: float | None = None
+    threshold: float | None = None
+    exact: bool = False
+
+    def to_dict(self) -> dict:
+        return {
+            "description": self.description,
+            "kind": "exact" if self.exact else "residual",
+            "residual": self.residual,
+            "threshold": self.threshold,
+            "passed": self.passed,
+        }
 
 
 def vector_weight(n: int) -> Weight:
@@ -298,10 +291,9 @@ class DualVectorRep:
         self.dim = n
         self.weight = dual_vector_weight(n)
 
-    def gen(self, i: int, j: int) -> np.ndarray:
-        m = np.zeros((self.N, self.N))
-        m[j - 1, i - 1] = -1.0
-        return m
+    def triplets(self, i: int, j: int) -> Triplets:
+        """The single entry -1 of a(i,j) at (j, i) (1-based indices)."""
+        return Triplets(np.array([j - 1]), np.array([i - 1]), np.array([-1.0]))
 
 
 def build_char_matrix(rep: Representation, kind: str, aux=None) -> CharMatrix:
@@ -310,24 +302,31 @@ def build_char_matrix(rep: Representation, kind: str, aux=None) -> CharMatrix:
     kind "A": block (i,j) = a_{ij}.  kind "Abar": block (i,j) = -a_{ji}.
     kind "general": aux supplies an auxiliary representation (Representation
     or DualVectorRep) and the matrix is -sum_ij aux(a_ij) (x) rep(a_ji),
-    the operator the quadratic Casimir coproduct produces.
+    the operator the quadratic Casimir coproduct produces.  Its terms
+    aux(a_ij)[a, c] rep(a_ji)[r, s] at (a d + r, c d + s) are summed per
+    position in generator order, as the Kronecker products would be added
+    up, and exact zeros are dropped.
     """
-    d = rep.dim
     if kind in (KIND_A, KIND_ABAR):
-        blocks = Blocks.from_entries(*gl_block_entries(rep, kind))
-        return CharMatrix(kind, rep.weight, rep.N, d, blocks)
-    if kind == KIND_GENERAL:
-        if aux is None:
-            raise DomainError("general kind needs an auxiliary representation")
-        if aux.N != rep.N:
-            raise DomainError("auxiliary representation must share the algebra size")
-        s = aux.dim
-        big = np.zeros((s * d, s * d))
-        for i in range(1, rep.N + 1):
-            for j in range(1, rep.N + 1):
-                big -= np.kron(aux.gen(i, j), rep.gen(j, i))
-        return CharMatrix(kind, rep.weight, s, d, Blocks.of(big), mu=aux.weight)
-    raise DomainError(f"unknown characteristic matrix kind {kind!r}")
+        return CharMatrix(kind, rep.weight, Blocks.from_entries(*gl_block_entries(rep, kind)))
+    if kind != KIND_GENERAL:
+        raise DomainError(f"unknown characteristic matrix kind {kind!r}")
+    if aux is None:
+        raise DomainError("general kind needs an auxiliary representation")
+    if aux.N != rep.N:
+        raise DomainError("auxiliary representation must share the algebra size")
+    d, size = rep.dim, aux.dim * rep.dim
+    keys, values = [], []
+    for i, j in rep.generator_labels():
+        a_rows, a_cols, a_values = aux.triplets(i, j)
+        rows, cols, rep_values = rep.triplets(j, i)
+        keys.append(((a_rows[:, None] * d + rows) * size + a_cols[:, None] * d + cols).ravel())
+        values.append(np.multiply.outer(a_values, rep_values).ravel())
+    entries, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = -np.bincount(inverse, weights=np.concatenate(values), minlength=len(entries))
+    keep = sums != 0
+    rows, cols = np.divmod(entries[keep], size)
+    return CharMatrix(kind, rep.weight, Blocks.from_entries(rows, cols, sums[keep], size))
 
 
 def general_root_candidates(lam, mu) -> dict[Fraction, tuple[Weight, ...]]:
@@ -343,12 +342,11 @@ def general_root_candidates(lam, mu) -> dict[Fraction, tuple[Weight, ...]]:
         raise DomainError("lam and mu must belong to the same gl(n)")
     chi_lam = casimir_eigenvalue_formula(lam, 2)
     chi_mu = casimir_eigenvalue_formula(mu, 2)
-    seen: dict[Weight, None] = {}
-    for p in enumerate_patterns(mu):
-        seen.setdefault(pattern_weight(p), None)
+    # The weights of V(mu) minus mu_n, each once, in basis order.
+    offsets = dict.fromkeys(map(tuple, table_weights(pattern_table(mu), len(mu)).tolist()))
     out: dict[Fraction, list[Weight]] = {}
-    for w in seen:
-        nu = tuple(a + b for a, b in zip(lam, w))
+    for w in offsets:
+        nu = tuple(a + mu[-1] + b for a, b in zip(lam, w))
         if not is_dominant(nu):
             continue
         value = -(casimir_eigenvalue_formula(nu, 2) - chi_mu - chi_lam) / 2
@@ -480,7 +478,7 @@ def _float(node):
 
 
 def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
-                    ) -> list[ResidualReport]:
+                    ) -> list[CheckRecord]:
     """Residuals of the polynomial identity prod(cm - value) over the roots.
 
     Equal root values are merged into a single factor; factors are applied
@@ -494,15 +492,14 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
     product, scale = _blocked_product(cm.blocks, values, with_scale=True)
     residual = product.max_abs()
     threshold = tol.threshold(scale)
-    reports = [ResidualReport(
+    reports = [CheckRecord(
         f"characteristic identity, kind {cm.kind}, {len(values)} distinct roots",
-        residual, threshold, residual <= threshold)]
+        residual <= threshold, residual, threshold)]
     if cm.kind == KIND_A and len(cm.weight) == 1:
         sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
         res = max_abs(cm.big - float(sigma1) * np.eye(d))
         thr = tol.threshold(max_abs(cm.big))
-        reports.append(ResidualReport(
-            "rank-1 closed form: A - sigma1", res, thr, res <= thr))
+        reports.append(CheckRecord("rank-1 closed form: A - sigma1", res <= thr, res, thr))
     if cm.kind == KIND_A and len(cm.weight) == 2:
         sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
         sigma2 = casimir_eigenvalue_formula(cm.weight, 2)
@@ -510,9 +507,9 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
         m = cm.big
         res = max_abs(m @ m - float(sigma1 + 1) * m + float(const) * np.eye(d))
         thr = tol.threshold(max(max_abs(m @ m), max_abs(m)))
-        reports.append(ResidualReport(
+        reports.append(CheckRecord(
             "rank-2 closed form: A^2 - (sigma1+1) A + (sigma1^2+sigma1-sigma2)/2",
-            res, thr, res <= thr))
+            res <= thr, res, thr))
     return reports
 
 
@@ -598,7 +595,9 @@ class ShiftContraction:
 
     components[j - 1] is psi[n;r]_j = sum_i psi_i Pbar[n;r]_ij, and
     cross[j - 1] is sum_i P[n;r]_ji psi_i, both (n, d, d) arrays.  The
-    residuals are those of ShiftComponents.
+    contraction residual is their largest disagreement, the support
+    residual the largest entry of the components off the shift
+    mu -> mu + D_r of row n.
     """
 
     r: int
@@ -650,34 +649,17 @@ def shift_contractions(rep: Representation, psi: np.ndarray, rs
                                _support_residual(rep, r, components))
 
 
-@dataclass(frozen=True)
-class ShiftComponents:
-    """The r-th shift components psi[n;r]_j of the raising column of a
-    gl(n+1) module, with their internal consistency residuals."""
-
-    r: int
-    components: tuple[np.ndarray, ...]
-    cross_components: tuple[np.ndarray, ...]
-    contraction_residual: float
-    support_residual: float
-    p: np.ndarray
-    pbar: np.ndarray
-
-
-def shift_components(rep: Representation, r: int,
-                     tol: Tolerance | None = None) -> ShiftComponents:
+def shift_components(rep: Representation, r: int) -> ShiftContraction:
     """Project the vector operator psi_j = a_{j,n+1} onto its r-th component.
 
     Both contraction routes are computed, psi_i Pbar[n;r]_{ij} and
     P[n;r]_{ji} psi_i; their disagreement and the off-shift support (entries
     connecting row-n weights other than mu -> mu + D_r) are reported as
     residuals.  The restricted projectors P[n;r] and Pbar[n;r] built on the
-    way are handed back as dense p and pbar.  A view of shift_contractions.
+    way are handed back as blocks p and pbar.  shift_contractions for one r.
     """
     (sc,) = shift_contractions(rep, raising_column(rep), (r,))
-    return ShiftComponents(r, tuple(sc.components), tuple(sc.cross),
-                           sc.contraction_residual, sc.support_residual,
-                           sc.p.dense(), sc.pbar.dense())
+    return sc
 
 
 def _support_residual(rep: Representation, r: int, components) -> float:

@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,20 +41,6 @@ from .verify import SUITE_NAMES, run_suite
 SCHEMA_VERSION = 1
 _ALGEBRA_RE = re.compile(r"^gl(\d+)(?:\|(\d+))?$")
 _NEGATIVE_LABEL_RE = re.compile(r"^-[\d.]")
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One parsed CLI job."""
-
-    command: str
-    algebra: str
-    weight: str
-    kind: str | None = None
-    suite: str | None = None
-    tolerance: float | None = None
-    output: str | None = None
-    format: str = "json"
 
 
 def parse_algebra(text: str):
@@ -250,9 +235,9 @@ def _super_generators(m: int, n: int) -> list[tuple]:
     return out
 
 
-def cmd_rep(spec: JobSpec) -> int:
-    family, sizes = parse_algebra(spec.algebra)
-    parsed = parse_weight(spec.weight, family, sizes)
+def cmd_rep(args: argparse.Namespace) -> int:
+    family, sizes = parse_algebra(args.algebra)
+    parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
         rep = Representation(parsed)
         labels, dim = rep.weight, rep.dim
@@ -264,17 +249,17 @@ def cmd_rep(spec: JobSpec) -> int:
         labels, dim = super_vector_weight(*sizes).labels(), sum(sizes)
         generators = _super_generators(*sizes)
     # Each generator's triplets are written with one format and one join.
-    if spec.format == "csv":
+    if args.format == "csv":
         lines = ["generator,row,col,value"]
         for name, _, rows, cols, values, fmt in generators:
             line = f"{name},%d,%d," + fmt.strip('"')
             lines.extend(map(line.__mod__, zip(rows, cols, values)))
-        _write_output("\n".join(lines) + "\n", spec.output)
+        _write_output("\n".join(lines) + "\n", args.output)
         return 0
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "rep",
-        "algebra": spec.algebra,
+        "algebra": args.algebra,
         "weight": [str(x) for x in labels],
         "dimension": dim,
     }
@@ -285,61 +270,58 @@ def cmd_rep(spec: JobSpec) -> int:
          "triplets": _Raw("[" + ", ".join(map(f"[%d, %d, {fmt}]".__mod__,
                                               zip(rows, cols, values))) + "]")}
         for name, kind, rows, cols, values, fmt in generators]
-    _write_output(render_json(payload), spec.output)
+    _write_output(render_json(payload), args.output)
     return 0
 
 
-def cmd_verify(spec: JobSpec) -> int:
-    family, sizes = parse_algebra(spec.algebra)
-    parsed = parse_weight(spec.weight, family, sizes)
-    tol = resolve_tolerance(spec.tolerance)
-    if spec.suite == "super":
+def cmd_verify(args: argparse.Namespace) -> int:
+    family, sizes = parse_algebra(args.algebra)
+    parsed = parse_weight(args.weight, family, sizes)
+    tol = resolve_tolerance(args.tolerance)
+    if args.suite == "super":
         if family != "glmn":
             raise DomainError("suite super needs a gl(m|n) algebra")
         report = run_suite("super", super_mn=sizes, super_weight=parsed, tol=tol)
     else:
         if family != "gl":
-            raise DomainError(f"suite {spec.suite} needs a gl(n) algebra")
-        report = run_suite(spec.suite, rep=Representation(parsed), tol=tol)
+            raise DomainError(f"suite {args.suite} needs a gl(n) algebra")
+        report = run_suite(args.suite, rep=Representation(parsed), tol=tol)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
-        "algebra": spec.algebra,
-        "weight": spec.weight,
-        "suite": spec.suite,
+        "algebra": args.algebra,
+        "weight": args.weight,
+        "suite": args.suite,
         "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
     }
     payload.update(report.to_dict())
     payload["checks"] = _checks_json(report.checks)
-    _write_output(render_json(payload), spec.output)
+    _write_output(render_json(payload), args.output)
     return 0 if report.passed else 1
 
 
-def cmd_roots(spec: JobSpec) -> int:
-    family, sizes = parse_algebra(spec.algebra)
-    parsed = parse_weight(spec.weight, family, sizes)
-    kind = spec.kind or KIND_A
-    if kind not in (KIND_A, KIND_ABAR):
-        raise DomainError(f"roots command supports kinds A and Abar, got {kind!r}")
+def cmd_roots(args: argparse.Namespace) -> int:
+    family, sizes = parse_algebra(args.algebra)
+    parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
-        spectrum = char_roots(parsed, kind)
+        spectrum = char_roots(parsed, args.kind)
     else:
-        spectrum = super_char_roots(parsed, kind)
+        spectrum = super_char_roots(parsed, args.kind)
     _write_output(", ".join(str(root.value) for root in spectrum) + "\n",
-                  spec.output)
+                  args.output)
     return 0
 
 
-def cmd_classify(spec: JobSpec) -> int:
-    family, sizes = parse_algebra(spec.algebra)
+def cmd_classify(args: argparse.Namespace) -> int:
+    family, sizes = parse_algebra(args.algebra)
     if family != "glmn":
         raise DomainError("classification applies to gl(m|n) weights")
-    verdict = classify_type1_star(parse_weight(spec.weight, family, sizes))
+    verdict = classify_type1_star(parse_weight(args.weight, family, sizes))
     if verdict.witness is None:
-        _write_output(f"{verdict.verdict}\n", spec.output)
+        _write_output(f"{verdict.verdict}\n", args.output)
     else:
         _write_output(f"{verdict.verdict}, witness mu={verdict.witness}\n",
-                      spec.output)
+                      args.output)
     return 0
 
 
@@ -394,16 +376,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_weight(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    spec = JobSpec(
-        command=args.command,
-        algebra=args.algebra,
-        weight=args.weight,
-        kind=getattr(args, "kind", None),
-        suite=getattr(args, "suite", None),
-        tolerance=args.tolerance,
-        output=args.output,
-        format=getattr(args, "format", "json"),
-    )
     handlers = {
         "rep": cmd_rep,
         "verify": cmd_verify,
@@ -411,9 +383,9 @@ def main(argv=None) -> int:
         "classify": cmd_classify,
     }
     try:
-        return handlers[spec.command](spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return handlers[args.command](args)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

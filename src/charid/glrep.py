@@ -318,9 +318,9 @@ class Representation:
     generators are stored once, in one frozen Triplets table `entries`:
     generator a_ij is g = (i-1)N + j-1, entry_gen holds g for each entry,
     its entries are entry_starts[g]:entry_starts[g+1], row-major, and
-    `triplets(i, j)` is that slice.  `gen(i, j)` scatters the dense d x d
-    matrix from it on first use and keeps it, so no check can read a dense
-    copy that differs from the triplets.  `patterns`, `ordinal` and the
+    `triplets(i, j)` is that slice.  `gen(i, j)` scatters a fresh dense
+    d x d matrix from it on each call, so no check can read a dense copy
+    that differs from the triplets.  `patterns`, `ordinal` and the
     exact Surd sidecar `raising_surds` of the elementary raising
     generators, keyed by (row, column) ordinal so squared-norm identities
     can be checked in rational arithmetic, are made on first use too.
@@ -370,12 +370,9 @@ class Representation:
 
     def gen(self, i: int, j: int) -> np.ndarray:
         """Dense matrix of the generator a_{ij} (1-based indices)."""
-        mat = self._dense.get((i, j))
-        if mat is None:
-            rows, cols, values = self.triplets(i, j)
-            mat = np.zeros((self.dim, self.dim))
-            mat[rows, cols] = values
-            mat = self._dense[(i, j)] = freeze(mat)
+        rows, cols, values = self.triplets(i, j)
+        mat = np.zeros((self.dim, self.dim))
+        mat[rows, cols] = values
         return mat
 
     def generator_labels(self) -> list[tuple[int, int]]:
@@ -396,14 +393,12 @@ class Representation:
     def _store(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                values: np.ndarray):
         """Store the generators: entry e is (rows[e], cols[e]) = values[e]
-        of generator g[e]; values are nonzero, no position comes twice.
-        Drops the dense copies made from an earlier store."""
+        of generator g[e]; values are nonzero, no position comes twice."""
         d = self.dim
         order = np.argsort((g * d + rows) * d + cols)
         self.entries = Triplets(freeze(rows[order]), freeze(cols[order]), freeze(values[order]))
         self.entry_gen = freeze(g[order])
         self.entry_starts = offsets(self.entry_gen, self.N * self.N)
-        self._dense: dict[tuple[int, int], np.ndarray] = {}
 
     def _build(self):
         table, d, N = self.table, self.dim, self.N

@@ -23,7 +23,7 @@ from .kernel import (
     max_abs,
     to_rational,
 )
-from .charident import KIND_A, KIND_ABAR, ResidualReport, Root, _root_product
+from .charident import KIND_A, KIND_ABAR, CheckRecord, Root, _root_product
 
 TYPICAL = "typical-type1"
 ATYPICAL = "atypical-type1"
@@ -195,7 +195,7 @@ def super_char_roots(lam: SuperWeight, kind: str) -> tuple[Root, ...]:
 
 def verify_super_identity(m: int, n: int, kind: str,
                           tol: Tolerance | None = None,
-                          convention: str | None = None) -> ResidualReport:
+                          convention: str | None = None) -> CheckRecord:
     """Residual of the super characteristic identity on the vector module.
 
     The product runs over the full root multiset in ascending order (the
@@ -211,10 +211,10 @@ def verify_super_identity(m: int, n: int, kind: str,
     residual = max_abs(product)
     threshold = tol.threshold(scale)
     label = convention or FROZEN_CONVENTION[kind]
-    return ResidualReport(
+    return CheckRecord(
         f"super characteristic identity gl({m}|{n}), kind {kind}, "
         f"convention {label}",
-        residual, threshold, residual <= threshold)
+        residual <= threshold, residual, threshold)
 
 
 def calibrate_convention(kind: str, grid=((1, 1), (1, 2), (2, 1), (2, 2)),

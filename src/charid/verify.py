@@ -30,6 +30,7 @@ from .glrep import (
 from .charident import (
     KIND_A,
     KIND_ABAR,
+    CheckRecord,
     build_char_matrix,
     char_roots,
     build_projector,
@@ -54,24 +55,6 @@ from .superglmn import (
 
 SUITE_NAMES = ("relations", "identity", "projectors", "invariants",
                "melcross", "super")
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    description: str
-    passed: bool
-    residual: float | None = None
-    threshold: float | None = None
-    exact: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "kind": "exact" if self.exact else "residual",
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -308,13 +291,12 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     dens = np.stack([q for _, q in squares], axis=1)
     admissible = np.zeros((d, n), dtype=bool)
     admissible[cols, move] = True
+    # The build stores a_{n,n+1}'s squares in this order, so each admissible
+    # shift must meet its own stored square, position for position.
     stored_rows, stored_cols, stored_nums, stored_dens = rep._ladders[n]
-    stored = dict(zip(zip(stored_rows.tolist(), stored_cols.tolist()),
-                      zip(stored_nums.tolist(), stored_dens.tolist())))
-    actual = np.array([stored.get(key, (0, 1)) for key in zip(rows.tolist(), cols.tolist())],
-                      dtype=object).reshape(-1, 2)
-    exact_ok = (not np.any(nums[~admissible] != 0)
-                and _same_ratios(nums[cols, move], dens[cols, move], actual[:, 0], actual[:, 1]))
+    exact_ok = (np.array_equal(rows, stored_rows) and np.array_equal(cols, stored_cols)
+                and not np.any(nums[~admissible] != 0)
+                and _same_ratios(nums[cols, move], dens[cols, move], stored_nums, stored_dens))
     report.add_exact(
         f"squared ladder coefficients equal M*Cbar products exactly, "
         f"all {rep.dim} states of {lam}", exact_ok)

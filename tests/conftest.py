@@ -6,8 +6,7 @@ from charid.kernel import Triplets
 
 def _replace_generator(rep, i, j, matrix):
     """Make the dense matrix the stored generator a_ij of rep: its nonzero
-    entries replace a_ij's in the one triplet table every check reads, and
-    the dense copies made from the old table are dropped."""
+    entries replace a_ij's in the one triplet table every check reads."""
     parts = [rep.triplets(*key) for key in rep.generator_labels()]
     rows, cols = np.nonzero(matrix)
     parts[(i - 1) * rep.N + j - 1] = Triplets(rows, cols, np.asarray(matrix)[rows, cols])

@@ -26,7 +26,6 @@ from charid.charident import (
     DualVectorRep,
     Root,
     _blocked_product,
-    _components,
     _pattern_components,
     _support_residual,
     build_char_matrix,
@@ -263,8 +262,8 @@ def test_shift_components_hand_back_their_projectors():
             sc = shift_components(rep, r)
             for kind, projector in ((KIND_A, sc.p), (KIND_ABAR, sc.pbar)):
                 expected = restricted_projector(rep, n, r, kind)
-                assert projector.shape == (n * rep.dim, n * rep.dim)
-                assert np.array_equal(projector, expected), (lam, r, kind)
+                assert projector.size == n * rep.dim
+                assert np.array_equal(projector.dense(), expected), (lam, r, kind)
 
 
 def test_shift_component_zero_when_shift_forbidden():
@@ -388,6 +387,23 @@ def _sweep_rep(lam):
     return Representation(lam)
 
 
+def _components(big):
+    """_pattern_components of the nonzero entries of a dense square matrix."""
+    return _pattern_components(*np.nonzero(big), big.shape[0])
+
+
+def _split(big, index):
+    """Cut a dense matrix along the given (k, b) index tables."""
+    return Blocks(big.shape[0], tuple(index), tuple(big[i[:, :, None], i[:, None, :]] for i in index))
+
+
+def _dense_split(big):
+    """Reference blocks cut from the dense matrix: the components of its
+    nonzero pattern, or one whole block below DENSE_BELOW rows."""
+    size = big.shape[0]
+    return _split(big, (np.arange(size)[None, :],) if size < DENSE_BELOW else _components(big))
+
+
 def _dense_product(big, nodes, target=None):
     """Reference ordered product on the dense matrix, one factor at a time."""
     eye = np.eye(big.shape[0])
@@ -405,7 +421,7 @@ def test_blocked_products_match_dense_reference(lam):
     for kind in (KIND_A, KIND_ABAR):
         cm = build_char_matrix(rep, kind)
         spectrum = char_roots(lam, kind)
-        layouts = (cm.blocks, Blocks.split(cm.big, _components(cm.big)))
+        layouts = (cm.blocks, _split(cm.big, _components(cm.big)))
         values = sorted({root.value for root in spectrum})
         reference = _dense_product(cm.big, values)
         for layout in layouts:
@@ -450,6 +466,72 @@ def test_blocks_keep_an_entry_joining_two_blocks(replace_generator):
     assert not verify_identity(corrupted, spectrum)[0].passed
 
 
+def _scattered(gens, i, j, size):
+    rows, cols, values = gens.triplets(i, j)
+    out = np.zeros((size, size))
+    out[rows, cols] = values
+    return out
+
+
+def _kronecker_general(rep, aux):
+    """Reference general kind: -sum_ij aux(a_ij) (x) rep(a_ji), one dense
+    Kronecker product at a time, in generator order."""
+    size = aux.dim * rep.dim
+    big = np.zeros((size, size))
+    for i, j in rep.generator_labels():
+        big -= np.kron(_scattered(aux, i, j, aux.dim), rep.gen(j, i))
+    return big
+
+
+# (3,2,1,0) gives 256 rows with either 4-dimensional aux, split into blocks.
+GENERAL_CASES = [((2, 1, 0), (1, 0, 0)), ((2, 1, 0), (2, 0, 0)), ((2, 1, 0), "dual"),
+                 ((3, 1, 0), (2, 0, 0)), ((1, 1, 0, 0), (1, 0, 0, 0)), ((5,), (2,)),
+                 ((2, 1, 0, 0), (1, 1, 0, 0)), ((3, 2, 1, 0), (1, 0, 0, 0)),
+                 ((3, 2, 1, 0), "dual")]
+
+
+@pytest.mark.parametrize("lam, mu", GENERAL_CASES, ids=str)
+def test_general_kind_is_the_kronecker_sum(lam, mu):
+    """The general kind scattered from the triplets is the dense Kronecker
+    sum bit for bit, and its blocks are those cut from that sum."""
+    rep = _sweep_rep(lam)
+    aux = DualVectorRep(rep.N) if mu == "dual" else Representation(mu)
+    reference = _kronecker_general(rep, aux)
+    blocks = build_char_matrix(rep, KIND_GENERAL, aux=aux).blocks
+    assert np.array_equal(blocks.dense(), reference)
+    expected = _dense_split(reference)
+    assert _same_arrays(blocks.index, expected.index), (lam, mu)
+    assert _same_arrays(blocks.stacks, expected.stacks), (lam, mu)
+
+
+@pytest.mark.parametrize("mu, kind", [("dual", KIND_A), ((1, 0, 0, 0), KIND_ABAR)], ids=str)
+def test_general_kind_keeps_a_stray_entry_joining_two_blocks(mu, kind, replace_generator):
+    """A stray entry of rep(a_ji) lands in the general kind wherever aux(a_ij)
+    has an entry; it joins the two blocks it connects, and the identity of
+    the plain kind the general one reproduces fails."""
+    rep = Representation((3, 2, 1, 0))
+    d = rep.dim
+    aux = DualVectorRep(rep.N) if mu == "dual" else Representation(mu)
+    cm = build_char_matrix(rep, KIND_GENERAL, aux=aux)
+    spectrum = char_roots(rep.weight, kind)
+    assert verify_identity(cm, spectrum)[0].passed
+    first, second = cm.blocks.index[-1][0], cm.blocks.index[-2][0]
+    (a, row), (c, col) = divmod(int(first[0]), d), divmod(int(second[0]), d)
+    # The one aux generator with an entry at (a, c) and its value there.
+    ((i, j, value),) = [(i, j, v) for i, j in rep.generator_labels()
+                        for r, s, v in zip(*aux.triplets(i, j)) if (r, s) == (a, c)]
+    matrix = rep.gen(j, i)
+    assert matrix[row, col] == 0.0
+    matrix[row, col] = -0.5 / value
+    replace_generator(rep, j, i, matrix)
+    corrupted = build_char_matrix(rep, KIND_GENERAL, aux=aux)
+    assert len(corrupted.blocks.index[-1][0]) == len(first) + len(second)
+    bad = cm.big.copy()
+    bad[first[0], second[0]] = 0.5
+    assert np.array_equal(corrupted.blocks.dense(), bad)
+    assert not verify_identity(corrupted, spectrum)[0].passed
+
+
 DENSE_VERIFY_SHAPES = [(6, 6, 5, 0), (6, 1, 0, 0), (5, 5, 3, 0), (5, 2, 0, 0),
                        (4, 3, 3, 3, 0), (4, 1, 1, 1, 0)]
 
@@ -466,7 +548,7 @@ def test_blocks_from_triplets_equal_the_dense_split(lam):
             index = _pattern_components(rows, cols, size)
             assert _same_arrays(index, _components(big)), (lam, kind, level)
             blocks = Blocks.from_entries(rows, cols, values, size)
-            expected = Blocks.of(big)  # Blocks.split(big, _components(big)) from 128 rows
+            expected = _dense_split(big)
             assert blocks.size == expected.size
             assert _same_arrays(blocks.index, expected.index), (lam, kind, level)
             assert _same_arrays(blocks.stacks, expected.stacks), (lam, kind, level)

@@ -177,6 +177,22 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.5 GiB")],
+                         ids=["bare", "numpy"])
+def test_out_of_memory_is_usage_error(capsys, monkeypatch, exc):
+    """A job too large for memory exits 2 with one error line, not 1 (a
+    failed check) with a traceback."""
+    def too_large(labels):
+        raise exc
+
+    monkeypatch.setattr(charid.cli, "Representation", too_large)
+    code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight", "2,1,0",
+                         "--suite", "invariants")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.strip() != "error:"
+
+
 def test_verify_invariants_suite_serializes(capsys):
     # regression: numpy scalars from the residual sweep must not leak into
     # the JSON renderer
