@@ -45,6 +45,7 @@ from .charident import (
     Root,
     build_char_matrix,
     build_projector,
+    build_projectors,
     char_roots,
     dual_vector_weight,
     elementary_square_from_invariants,

@@ -40,8 +40,9 @@ from .glrep import (
 from .gtbasis import (
     Weight,
     check_highest_weight,
-    dimension,
+    dimension,  # unused here, kept as a name the benchmark's tracer wraps
     is_dominant,
+    offset_dimension,
     pattern_table,
     pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
@@ -69,17 +70,19 @@ class Root:
 
 # Below this many rows one dense product costs less than finding the
 # components and looping over their stacks, so such a matrix is held as a
-# single block.  Measured on 2 vCPUs, whole against split (split included):
-# identity products 81 rows 0.09/0.26 ms, 105 rows 0.18/0.22, 120 rows
-# 0.45/0.40, 144 rows 0.68/0.28; restricted projectors (operator nodes)
-# 96 rows 1.0/1.4, 105 rows 2.3/1.8, 135 rows 1.0/1.3, 160 rows 4.0/1.9.
-# Between 96 and 144 rows lie only the benchmark's invariants jobs on
-# gl(5) dim 24, gl(6) dim 21 and gl(4) dim 45 (96, 105 and 135 restricted
-# rows); dense-verify matrices have 800+ rows.  Their whole suites, every
-# matrix whole against every matrix split, ranges over repeats on a shared
-# 2-vCPU machine: 7.4-8.9/8.2-9.8 ms, 10.9-13.2/6.4-10.6 ms and
-# 9.9-12.6/6.8-10.5 ms.
-DENSE_BELOW = 128
+# single block.  Measured on 2 vCPUs, best of 40, whole against split
+# (split included).  Kind-Abar matrix with its identity and all projectors
+# (scalar nodes): 72 rows 0.30/0.42 ms, 81 rows 0.35/0.55, 90 rows
+# 0.44/0.38, 105 rows 0.57/0.51, 120 rows 0.70/0.38, 126 rows 0.82/0.42,
+# 144 rows 1.38/0.65.  Restricted matrices with every shift contraction
+# (operator nodes): 60 rows 0.65/1.04 ms, 84 rows 0.54/0.68, 96 rows
+# 1.57/1.55, 100 rows 2.51/1.84, 105 rows 3.51/1.71, 108 rows 1.31/1.40,
+# 120 rows 0.83/0.87, 128 rows 0.93/0.96, 135 rows 2.27/1.72, 160 rows
+# 5.87/2.57.  From 100 rows on only the gl(3) and gl(4) restrictions of
+# 108-128 rows (few, large blocks) are a little faster whole; the gl(5)
+# and gl(6) ones, among them the benchmark's gl(6) dim-21 invariants job
+# (105 restricted and 126 full rows), are up to twice as fast split.
+DENSE_BELOW = 100
 
 
 def _pattern_components(rows: np.ndarray, cols: np.ndarray, size: int
@@ -165,16 +168,17 @@ class Blocks:
             out[i[:, :, None], i[:, None, :]] = stack
         return out
 
-    def window(self, start: int, stop: int) -> np.ndarray:
-        """The diagonal square [start:stop, start:stop] of the matrix, read
-        from the blocks without assembling the rest."""
-        out = np.zeros((stop - start, stop - start))
+    def corner(self, start: int) -> Triplets:
+        """The block entries of the bottom-right square [start:, start:] of
+        the matrix, as (row, col, value) counted from start; every other
+        entry of the square is zero, and its whole diagonal is among them."""
+        parts = []
         for i, stack in zip(self.index, self.stacks):
-            inside = (start <= i) & (i < stop)
+            inside = i >= start
             pick = inside[:, :, None] & inside[:, None, :]
             at = np.broadcast_to(i[:, :, None] - start, stack.shape)
-            out[at[pick], np.swapaxes(at, 1, 2)[pick]] = stack[pick]
-        return out
+            parts.append((at[pick], np.swapaxes(at, 1, 2)[pick], stack[pick]))
+        return Triplets(*(np.concatenate(a) for a in zip(*parts)))
 
     def matmul(self, other: np.ndarray) -> np.ndarray:
         """self @ other, for a dense other with self.size rows."""
@@ -268,8 +272,12 @@ def alpha_roots(lam) -> list[Fraction]:
 
 def alpha_bar_roots(lam) -> list[Fraction]:
     """Roots of the negative-transpose matrix: abar_j = j - 1 - lam_j."""
-    lam = check_highest_weight(lam)
-    return [Fraction(j - 1) - lam[j - 1] for j in range(1, len(lam) + 1)]
+    return _bar_roots(check_highest_weight(lam))
+
+
+def _bar_roots(labels) -> list[Fraction]:
+    """j - 1 - lam_j for the labels of a weight."""
+    return [Fraction(j - 1) - labels[j - 1] for j in range(1, len(labels) + 1)]
 
 
 def _shifted(lam: Weight, k: int, step: int) -> Weight:
@@ -367,13 +375,17 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     """
     lam = check_highest_weight(lam)
     if kind in (KIND_A, KIND_ABAR):
-        values, step = ((alpha_roots(lam), -1) if kind == KIND_A
-                        else (alpha_bar_roots(lam), +1))
+        values, step = ((_roots(lam), -1) if kind == KIND_A
+                        else (_bar_roots(lam), +1))
+        # Each constituent is lam with one label moved: its dominance and
+        # dimension come from the integer offsets, with no revalidation.
+        offsets = [int(x - lam[-1]) for x in lam]
         out = []
         for j, value in enumerate(values, start=1):
-            nu = _shifted(lam, j, step)
-            mult = dimension(nu) if is_dominant(nu) else 0
-            out.append(Root(value, nu, mult))
+            moved = offsets.copy()
+            moved[j - 1] += step
+            mult = offset_dimension(moved) if is_dominant(moved) else 0
+            out.append(Root(value, _shifted(lam, j, step), mult))
         return tuple(out)
     if kind != KIND_GENERAL:
         raise DomainError(f"unknown characteristic matrix kind {kind!r}")
@@ -412,13 +424,13 @@ def _root_product(big: np.ndarray, nodes, quotients=None, with_scale: bool = Fal
     big is one square matrix or a stack (k, b, b) of them, multiplied as
     one batch.  A node is a scalar root (float) or a diagonal operator root
     (float array of big's shape without its last axis); either is
-    subtracted from the diagonal.  Given quotients, one per node of the
-    node's shape (target - node for a target node), each partial product is
-    divided column-wise by its node's quotient, which makes the product a
-    Lagrange interpolation projector.  No nodes give the identity.  With
-    with_scale, returns (product, the largest absolute entry of any factor,
-    0 for no nodes): the scale of an identity's residual, which no
-    projector needs.
+    subtracted from the diagonal.  Given quotients for operator nodes, one
+    per node of the node's shape (target - node for a target node), each
+    partial product is divided column-wise by its node's quotient, which
+    makes the product a Lagrange interpolation projector.  No nodes give
+    the identity.  With with_scale, returns (product, the largest absolute
+    entry of any factor, 0 for no nodes): the scale of an identity's
+    residual, which no projector needs.
 
     The factor and the two product buffers are allocated once and reused;
     fresh matrices per factor left the heap up to two matrices larger.
@@ -438,8 +450,7 @@ def _root_product(big: np.ndarray, nodes, quotients=None, with_scale: bool = Fal
         else:
             product, spare = np.matmul(product, factor, out=spare), product
         if quotients is not None:
-            quotient = quotients[k]
-            product /= quotient[..., None, :] if np.ndim(quotient) else quotient
+            product /= quotients[k][..., None, :]
     if product is None:
         product = np.empty(big.shape)
         product[...] = np.eye(size)
@@ -450,14 +461,15 @@ def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = Fals
     """_root_product on each stack of equal-size blocks, as Blocks, and with
     with_scale the largest factor entry over all stacks.
 
-    Scalar nodes (exact Fractions) apply to every block; an operator node is
-    a dense diagonal (float vector of length blocks.size) and is cut into
-    the blocks, except for a single whole block, which is in index order.
-    The scalar nodes and the quotients target - node, taken exactly, are
-    converted to float once here, not once per stack.
+    Scalar nodes (exact Fractions) apply to every block and are converted
+    to float once here, not once per stack; an operator node is a dense
+    diagonal (float vector of length blocks.size) and is cut into the
+    blocks, except for a single whole block, which is in index order.  A
+    target, for operator nodes only, makes the product the Lagrange
+    projector onto it; scalar nodes go through build_projectors.
     """
     whole = blocks.whole
-    quotients = None if target is None else [_float(target - node) for node in nodes]
+    quotients = None if target is None else [target - node for node in nodes]
     nodes = [_float(node) for node in nodes]
 
     def cut(nodes, index):
@@ -513,26 +525,74 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
     return reports
 
 
-def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
-    """Lagrange projector onto the eigenspace of the r-th root (1-based).
+def build_projectors(cm: CharMatrix, spectrum) -> tuple[Projector, ...]:
+    """Lagrange projectors onto the eigenspaces of all roots, in spectrum
+    order.
 
-    Absent roots (multiplicity 0) yield the zero projector and are excluded
-    from the interpolation product; the remaining root values must be
-    pairwise distinct.
+    Absent roots (multiplicity 0) yield zero projectors and are excluded
+    from the interpolation; the present root values v_1, ..., v_m (in
+    spectrum order) must be pairwise distinct.  With F_l = cm - v_l, the
+    projector of v_r is (F_1 ... F_{r-1})(F_{r+1} ... F_m) divided once by
+    the exact prod_{l != r} (v_r - v_l).  Each stack of blocks takes its
+    prefix and suffix products in turn, 3m - 6 batched matmuls for all m
+    projectors, so only one stack's intermediates are alive at a time.
     """
     spectrum = tuple(spectrum)
-    if not 1 <= r <= len(spectrum):
-        raise DomainError(f"root index {r} outside 1..{len(spectrum)}")
     values = [root.value for root in spectrum if root.multiplicity > 0]
     if len(set(values)) != len(values):
         raise DegenerateRootError(
             f"repeated root values in spectrum: {sorted(map(str, values))}")
-    target = spectrum[r - 1]
-    if target.multiplicity == 0:
-        return Projector(r, target, cm.blocks.like(
-            np.zeros_like(stack) for stack in cm.blocks.stacks))
-    nodes = [value for value in values if value != target.value]
-    return Projector(r, target, _blocked_product(cm.blocks, nodes, target=target.value))
+    scales = [float(math.prod((v - w for w in values if w != v), start=Fraction(1)))
+              for v in values]
+    nodes = [float(v) for v in values]
+    parts = iter(zip(*(_lagrange_products(stack, nodes, scales)
+                       for stack in cm.blocks.stacks)))
+    return tuple(
+        Projector(r, root, cm.blocks.like(
+            next(parts) if root.multiplicity > 0
+            else (np.zeros_like(stack) for stack in cm.blocks.stacks)))
+        for r, root in enumerate(spectrum, start=1))
+
+
+def _lagrange_products(stack: np.ndarray, nodes: list[float], scales: list[float]
+                       ) -> list[np.ndarray]:
+    """prod_{l != r} (stack - nodes[l]) / scales[r] for every r, each a
+    product of the factors in node order, from prefix and suffix
+    products.  stack is (k, b, b); one node gives the identity."""
+    m, b = len(nodes), stack.shape[-1]
+
+    def factor(l):
+        out = stack.copy()
+        out.reshape(stack.shape[:-2] + (b * b,))[..., ::b + 1] -= nodes[l]
+        return out
+
+    if m == 1:
+        out = np.empty(stack.shape)
+        out[...] = np.eye(b)
+        return [out]
+    # prefix[l] = F_0 ... F_l for l < m - 1; the last is the last projector.
+    prefix = [factor(0)]
+    for l in range(1, m - 1):
+        prefix.append(prefix[-1] @ factor(l))
+    out = [None] * m
+    out[m - 1] = prefix.pop()
+    suffix = factor(m - 1)  # F_{r+1} ... F_{m-1} for the r below
+    for r in range(m - 2, 0, -1):
+        out[r] = prefix.pop() @ suffix
+        suffix = factor(r) @ suffix
+    out[0] = suffix
+    for product, scale in zip(out, scales):
+        product /= scale
+    return out
+
+
+def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
+    """Lagrange projector onto the eigenspace of the r-th root (1-based):
+    entry r - 1 of build_projectors."""
+    spectrum = tuple(spectrum)
+    if not 1 <= r <= len(spectrum):
+        raise DomainError(f"root index {r} outside 1..{len(spectrum)}")
+    return build_projectors(cm, spectrum)[r - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +697,7 @@ def shift_contractions(rep: Representation, psi: np.ndarray, rs
     psi_rows = psi.reshape(n * d, d)
     psi_cols = psi.swapaxes(1, 2).reshape(n * d, d)
     labels = _row_labels(rep, n)
+    ids = _row_shift_ids(rep)
     matrix, matrix_bar = (_restricted_matrix(rep, n, kind, labels) for kind in (KIND_A, KIND_ABAR))
     for r in rs:
         if not 1 <= r <= n:
@@ -646,7 +707,7 @@ def shift_contractions(rep: Representation, psi: np.ndarray, rs
         cross = p.matmul(psi_rows).reshape(n, d, d)
         components = pbar.transposed().matmul(psi_cols).reshape(n, d, d).swapaxes(1, 2)
         yield ShiftContraction(r, components, cross, p, pbar, max_abs(components - cross),
-                               _support_residual(rep, r, components))
+                               _support_residual(ids, r, components))
 
 
 def shift_components(rep: Representation, r: int) -> ShiftContraction:
@@ -662,20 +723,26 @@ def shift_components(rep: Representation, r: int) -> ShiftContraction:
     return sc
 
 
-def _support_residual(rep: Representation, r: int, components) -> float:
-    """Largest |entry| of the components off the shift mu -> mu + D_r of
-    row n.  Each distinct row n gets an id (equal label offsets); a column
-    may reach only the row whose id is that of its row n + e_r, or none
-    (id -1) when that row is not a branch."""
+def _row_shift_ids(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """An id for the row n of each basis vector, equal for equal label
+    offsets, (d,), and for each r the id of that row plus e_r, (n, d).  A
+    raised row that is no branch gets an id no row n has."""
     n = rep.N - 1
     start = row_starts(rep.N)[n]
     rows_n = rep.table[:, start:start + n]
-    ids: dict[tuple, int] = {}
-    row_id = np.array([ids.setdefault(row, len(ids)) for row in map(tuple, rows_n.tolist())])
-    raised = rows_n.copy()
-    raised[:, r - 1] += 1
-    target = np.array([ids.get(row, -1) for row in map(tuple, raised.tolist())])
-    off_shift = row_id[:, None] != target[None, :]
+    raised = rows_n + np.eye(n, dtype=rows_n.dtype)[:, None, :]
+    _, ids = np.unique(np.concatenate((rows_n[None], raised)).reshape(-1, n), axis=0,
+                       return_inverse=True)
+    ids = ids.reshape(n + 1, rep.dim)
+    return ids[0], ids[1:]
+
+
+def _support_residual(ids: tuple[np.ndarray, np.ndarray], r: int, components) -> float:
+    """Largest |entry| of the components off the shift mu -> mu + D_r of
+    row n: a column may reach only the rows whose id (from _row_shift_ids)
+    is that of its row n + e_r."""
+    row_id, raised = ids
+    off_shift = row_id[:, None] != raised[r - 1][None, :]
     return max_abs(np.asarray(components)[:, off_shift])
 
 
@@ -792,22 +859,27 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
                             f"M*Cbar product r={r} on {pattern.rows}")
 
 
-def elementary_squares_from_invariants(rep: Representation, r: int
-                                       ) -> tuple[np.ndarray, np.ndarray]:
-    """elementary_square_from_invariants(pattern, r) of every basis pattern,
-    as exact numerators and denominators (int64, or Python ints where a
-    product may reach 2**53), from the same factor lists on the table."""
+def elementary_square_table(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """elementary_square_from_invariants of every basis pattern and every
+    r, as exact numerators and denominators (int64, or Python ints where a
+    product may reach 2**53), both (d, n) with column r - 1 for r, from
+    the same factor lists on the table in one exact batch."""
     n = rep.N - 1
-    if not 1 <= r <= n:
-        raise DomainError(f"index {r} outside 1..{n}")
-    subs = _table_roots(rep, n)
-    m_sign, m_num, m_den = _m_factors(_table_roots(rep, n + 1), subs, r, bar=False)
-    c_sign, c_num, c_den = _c_factors(subs, _table_roots(rep, n - 1), r, bar=True)
+    if n < 1:
+        raise DomainError("needs a gl(n+1) module with n >= 1")
+    tops, subs, lows = (_table_roots(rep, level) for level in (n + 1, n, n - 1))
+
+    def factors(r):
+        m_sign, m_num, m_den = _m_factors(tops, subs, r, bar=False)
+        c_sign, c_num, c_den = _c_factors(subs, lows, r, bar=True)
+        return m_sign * c_sign, m_num + c_num, m_den + c_den
+
     nums, dens, _, unmatched = _cancelled_ratios(
-        m_sign * c_sign, _columns(m_num + c_num, rep.dim), _columns(m_den + c_den, rep.dim))
+        *_stacked_columns(map(factors, range(1, n + 1)), rep.dim))
     if unmatched.any():  # the scalar form raises on the first such pattern
-        elementary_square_from_invariants(rep.patterns[np.flatnonzero(unmatched)[0]], r)
-    return nums, dens
+        r, c = divmod(int(np.flatnonzero(unmatched)[0]), rep.dim)
+        elementary_square_from_invariants(rep.patterns[c], r + 1)
+    return nums.reshape(n, rep.dim).T, dens.reshape(n, rep.dim).T
 
 
 def _columns(factors, d: int) -> np.ndarray:
@@ -815,24 +887,52 @@ def _columns(factors, d: int) -> np.ndarray:
     return np.array(factors, dtype=np.int64).reshape(-1, d).T
 
 
-def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of the M (or Mbar) invariant per basis
-    vector, evaluated on each pattern's row-n labels.
+def _stacked_columns(forms, d: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The (sign, num, den) factor lists of several closed forms that share
+    their sign, each made _columns and stacked form after form: the sign
+    and one (forms * d, len) int64 array each for num and den."""
+    forms = list(forms)
+    (sign,) = {sign for sign, _, _ in forms}
+    return (sign, np.concatenate([_columns(num, d) for _, num, _ in forms]),
+            np.concatenate([_columns(den, d) for _, _, den in forms]))
+
+
+def norm_invariant_table(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of the M and Mbar invariants per basis
+    vector, evaluated on each pattern's row-n labels, for every r in one
+    exact batch: two (2, n, d) float arrays, [bar][r - 1].
 
     Returned separately so operator identities can be checked with cleared
     denominators on patterns where the denominator vanishes.
     """
-    sign, num, den = _m_factors(_table_roots(rep, rep.N), _table_roots(rep, rep.N - 1), r, bar)
-    nums, dens = _exact_products(sign, _columns(num, rep.dim), _columns(den, rep.dim))
-    return nums.astype(float), dens.astype(float)
+    n = rep.N - 1
+    tops, subs = _table_roots(rep, rep.N), _table_roots(rep, n)
+    nums, dens = _exact_products(*_stacked_columns(
+        (_m_factors(tops, subs, r, bar) for bar in (False, True) for r in range(1, n + 1)),
+        rep.dim))
+    return (nums.astype(float).reshape(2, n, rep.dim),
+            dens.astype(float).reshape(2, n, rep.dim))
+
+
+def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Entry [bar][r - 1] of norm_invariant_table: the M (or Mbar)
+    invariant's numerator and denominator per basis vector."""
+    nums, dens = norm_invariant_table(rep)
+    return nums[int(bar), r - 1], dens[int(bar), r - 1]
+
+
+def cbar_diagonal_table(rep: Representation) -> np.ndarray:
+    """Closed-form Cbar_{k,n+1} value per basis vector (row-n labels) for
+    every k in one exact batch, (N, d) with row k - 1 for k."""
+    tops, subs = _table_roots(rep, rep.N), _table_roots(rep, rep.N - 1)
+    sign, num, den = _stacked_columns(
+        (_c_factors(tops, subs, k, bar=True) for k in range(1, rep.N + 1)), rep.dim)
+    if not den.all():
+        raise DegenerateRootError(f"coincident characteristic roots of {rep.weight}")
+    return _exact_ratios(sign, num, den)[2].reshape(rep.N, rep.dim)
 
 
 def cbar_diagonal(rep: Representation, k: int) -> np.ndarray:
-    """Closed-form Cbar_{k,n+1} value per basis vector (row-n labels)."""
-    sign, num, den = _c_factors(_table_roots(rep, rep.N), _table_roots(rep, rep.N - 1),
-                                k, bar=True)
-    den = _columns(den, rep.dim)
-    if not den.all():
-        raise DegenerateRootError(f"coincident characteristic roots of {rep.weight}")
-    return _exact_ratios(sign, _columns(num, rep.dim), den)[2]
+    """Row k - 1 of cbar_diagonal_table."""
+    return cbar_diagonal_table(rep)[k - 1]

@@ -263,8 +263,13 @@ def dimension(lam) -> int:
     integer quotient; serves as an independent oracle for the pattern count.
     """
     lam = check_highest_weight(lam)
-    n = len(lam)
-    offsets = [int(x - lam[-1]) for x in lam]
+    return offset_dimension([int(x - lam[-1]) for x in lam])
+
+
+def offset_dimension(offsets) -> int:
+    """dimension of the dominant weight with these integer label offsets
+    from any common value, which the formula's differences drop."""
+    n = len(offsets)
     numerator = denominator = 1
     for i in range(n):
         for j in range(i + 1, n):
@@ -272,7 +277,7 @@ def dimension(lam) -> int:
             denominator *= j - i
     value, rest = divmod(numerator, denominator)
     if rest:
-        raise DomainError(f"dimension of {lam} is not integral")
+        raise DomainError(f"dimension of offsets {tuple(offsets)} is not integral")
     return value
 
 

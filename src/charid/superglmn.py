@@ -101,27 +101,22 @@ def vector_rep(m: int, n: int) -> dict[tuple[int, int], np.ndarray]:
 
 
 def vector_rep_relations_hold(m: int, n: int) -> bool:
-    """Exact check of the graded bracket on every generator quadruple."""
+    """Exact check of the graded bracket on every generator quadruple:
+    a_pq a_rs - sign a_rs a_pq = d_qr a_ps - sign d_ps a_rq, where sign is
+    -1 when both a_pq and a_rs are odd.  All pairs at once, as integer
+    einsums over the axes (p, q, r, s, row, col)."""
     gens = vector_rep(m, n)
     size = m + n
-    zero = np.zeros((size, size), dtype=np.int64)
-    for p in range(1, size + 1):
-        for q in range(1, size + 1):
-            a_pq = gens[(p, q)]
-            for r in range(1, size + 1):
-                for s in range(1, size + 1):
-                    a_rs = gens[(r, s)]
-                    sign = -1 if (parity(p, m) + parity(q, m)) * (
-                        parity(r, m) + parity(s, m)) % 2 else 1
-                    lhs = a_pq @ a_rs - sign * (a_rs @ a_pq)
-                    rhs = zero.copy()
-                    if q == r:
-                        rhs = rhs + gens[(p, s)]
-                    if p == s:
-                        rhs = rhs - sign * gens[(r, q)]
-                    if not np.array_equal(lhs, rhs):
-                        return False
-    return True
+    indices = range(1, size + 1)
+    a = np.array([[gens[(p, q)] for q in indices] for p in indices])
+    parities = np.array([parity(p, m) for p in indices])
+    grade = parities[:, None] + parities[None, :]  # (p) + (q) of a_pq
+    odd_pair = grade[:, :, None, None] * grade[None, None, :, :] % 2
+    sign = (1 - 2 * odd_pair)[..., None, None]
+    delta = np.eye(size, dtype=np.int64)
+    lhs = np.einsum("pqik,rskj->pqrsij", a, a) - sign * np.einsum("rsik,pqkj->pqrsij", a, a)
+    rhs = np.einsum("qr,psij->pqrsij", delta, a) - sign * np.einsum("ps,rqij->pqrsij", delta, a)
+    return bool(np.array_equal(lhs, rhs))
 
 
 # Candidate block rules for the calibration sweep: sign(p, q) times the

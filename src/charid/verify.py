@@ -33,13 +33,16 @@ from .charident import (
     CheckRecord,
     build_char_matrix,
     char_roots,
-    build_projector,
-    cbar_diagonal,
+    build_projector,  # unused here, kept as a name the benchmark's tracer wraps
+    build_projectors,
+    cbar_diagonal,  # unused here, kept as a name the benchmark's tracer wraps
+    cbar_diagonal_table,
     elementary_square_from_invariants,  # unused here, kept as a name the benchmark's tracer wraps
-    elementary_squares_from_invariants,
+    elementary_square_table,
     invariant_C_eigenvalue,  # unused here, kept as a name the benchmark's tracer wraps
     invariant_C_sums,
-    norm_invariant_diagonals,
+    norm_invariant_diagonals,  # unused here, kept as a name the benchmark's tracer wraps
+    norm_invariant_table,
     raising_column,
     restricted_projector,  # unused here, kept as a name the benchmark's tracer wraps
     shift_components,  # unused here, kept as a name the benchmark's tracer wraps
@@ -191,8 +194,7 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
     for kind in (KIND_A, KIND_ABAR):
         cm = build_char_matrix(rep, kind)
         spectrum = char_roots(rep.weight, kind)
-        projectors = [build_projector(cm, spectrum, r)
-                      for r in range(1, rep.N + 1)]
+        projectors = build_projectors(cm, spectrum)
         present = [p.blocks.stacks for p in projectors if p.root.multiplicity > 0]
         scale = max(p.blocks.max_abs() for p in projectors)
         idem = max(max_abs(s @ s - s) for stacks in present for s in stacks)
@@ -235,16 +237,14 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
         f"sum_k C_k = 1 on each of {len(branches)} branches of {format_weight(lam)}",
         bool(np.all(c_sums == c_denominator)))
 
-    cm_bar = build_char_matrix(rep, KIND_ABAR)
-    spectrum_bar = char_roots(lam, KIND_ABAR)
+    projectors = build_projectors(build_char_matrix(rep, KIND_ABAR), char_roots(lam, KIND_ABAR))
     corner = 0.0
     corner_scale = 1.0
-    for k in range(1, rep.N + 1):
-        proj = build_projector(cm_bar, spectrum_bar, k)
-        block = proj.blocks.window(n * d, rep.N * d)
-        expected = np.diag(cbar_diagonal(rep, k))
-        corner = max(corner, max_abs(block - expected))
-        corner_scale = max(corner_scale, max_abs(block), max_abs(expected))
+    for proj, diagonal in zip(projectors, cbar_diagonal_table(rep)):
+        resid, scale = _corner_residual(proj.blocks, n * d, diagonal)
+        corner = max(corner, resid)
+        corner_scale = max(corner_scale, scale)
+    del projectors  # not kept alive through the restricted products below
     report.add_residual(
         f"Cbar corner blocks match the closed form on {format_weight(lam)}",
         corner, tol.threshold(corner_scale))
@@ -258,6 +258,7 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     total = np.zeros_like(psi)
     norm_resid = 0.0
     norm_scale = 1.0
+    norm_nums, norm_dens = norm_invariant_table(rep)
     for sc in shift_contractions(rep, psi, range(1, n + 1)):
         r, comps = sc.r, sc.components
         report.add_residual(
@@ -267,10 +268,10 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
             f"shift component supports only the +D_{r} weight shift on {format_weight(lam)}",
             sc.support_residual, tol.threshold(1.0))
         total += comps
-        for stacked, projector, bar in ((comps.reshape(n * d, d), sc.p, True),
-                                        (comps.swapaxes(1, 2).reshape(n * d, d), sc.pbar, False)):
+        for stacked, projector, bar in ((comps.reshape(n * d, d), sc.p, 1),
+                                        (comps.swapaxes(1, 2).reshape(n * d, d), sc.pbar, 0)):
             resid, scale = _cleared_residual(
-                stacked @ stacked.T, projector, *norm_invariant_diagonals(rep, r, bar=bar))
+                stacked @ stacked.T, projector, norm_nums[bar, r - 1], norm_dens[bar, r - 1])
             norm_resid = max(norm_resid, resid)
             norm_scale = max(norm_scale, scale)
     report.add_residual(
@@ -286,9 +287,7 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     moves = np.zeros((n, rep.table.shape[1]), dtype=np.int64)
     moves[np.arange(n), row_starts(rep.N)[n] + np.arange(n)] = 1
     cols, move, rows = rep.raised(moves)
-    squares = [elementary_squares_from_invariants(rep, r) for r in range(1, n + 1)]
-    nums = np.stack([p for p, _ in squares], axis=1)
-    dens = np.stack([q for _, q in squares], axis=1)
+    nums, dens = elementary_square_table(rep)
     admissible = np.zeros((d, n), dtype=bool)
     admissible[cols, move] = True
     # The build stores a_{n,n+1}'s squares in this order, so each admissible
@@ -301,6 +300,16 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
         f"squared ladder coefficients equal M*Cbar products exactly, "
         f"all {rep.dim} states of {lam}", exact_ok)
     return report
+
+
+def _corner_residual(blocks, start: int, diagonal: np.ndarray) -> tuple[float, float]:
+    """max |corner - diag(diagonal)| over the bottom-right square [start:,
+    start:] of the blocks' matrix, and the larger of the two sides' largest
+    entries, read from the block entries in that square: every entry
+    outside the blocks is zero on both sides."""
+    rows, cols, values = blocks.corner(start)
+    expected = np.where(rows == cols, diagonal[rows], 0.0)
+    return max_abs(values - expected), max(max_abs(values), max_abs(diagonal))
 
 
 def _cleared_residual(gram: np.ndarray, projector, num: np.ndarray, den: np.ndarray

@@ -23,13 +23,16 @@ from charid.charident import (
     KIND_ABAR,
     KIND_GENERAL,
     Blocks,
+    CharMatrix,
     DualVectorRep,
     Root,
     _blocked_product,
     _pattern_components,
+    _row_shift_ids,
     _support_residual,
     build_char_matrix,
     build_projector,
+    build_projectors,
     cbar_diagonal,
     char_roots,
     dual_vector_weight,
@@ -45,7 +48,7 @@ from charid.charident import (
     verify_identity,
 )
 from charid.glrep import casimir_eigenvalue_formula
-from charid.verify import run_suite
+from charid.verify import _corner_residual, run_suite
 
 TOL = Tolerance()
 
@@ -428,19 +431,25 @@ def test_blocked_products_match_dense_reference(lam):
             blocked = _blocked_product(layout, values)
             assert max_abs(blocked.dense() - reference) <= 1e-12, (lam, kind)
         present = [root.value for root in spectrum if root.multiplicity > 0]
-        for r, root in enumerate(spectrum, start=1):
+        # Every projector of build_projectors, on the blocks and on the
+        # components forced below DENSE_BELOW, against its own dense
+        # Lagrange product; build_projector is an entry of the same tuple.
+        projectors = build_projectors(cm, spectrum)
+        forced = build_projectors(CharMatrix(kind, cm.weight, layouts[1]), spectrum)
+        assert len(projectors) == len(forced) == len(spectrum)
+        for r, (root, projector, split) in enumerate(zip(spectrum, projectors, forced), start=1):
             if root.multiplicity == 0:
                 reference = np.zeros(cm.big.shape)
             else:
                 reference = _dense_product(
                     cm.big, [v for v in present if v != root.value], root.value)
-            projector = build_projector(cm, spectrum, r)
-            forced = _blocked_product(
-                layouts[1], [v for v in present if v != root.value], root.value)
-            for matrix in (projector.matrix, forced.dense()):
+            assert projector.r == r and projector.root == root
+            for matrix in (projector.matrix, split.blocks.dense()):
                 assert max_abs(matrix - reference) <= 1e-12, (lam, kind, r)
             assert projector.rank == int(round(np.trace(reference))), (lam, kind, r)
             assert projector.rank == root.multiplicity
+            single = build_projector(cm, spectrum, r)
+            assert _same_arrays(single.blocks.stacks, projector.blocks.stacks), (lam, kind, r)
 
 
 def test_blocks_keep_an_entry_joining_two_blocks(replace_generator):
@@ -555,8 +564,64 @@ def test_blocks_from_triplets_equal_the_dense_split(lam):
             if level == rep.N:
                 assert _same_arrays(build_char_matrix(rep, kind).blocks.stacks, blocks.stacks)
             for start in range(0, size, rep.dim):
-                window = blocks.window(start, start + rep.dim)
+                window = _window(blocks, start, start + rep.dim)
                 assert np.array_equal(window, big[start:start + rep.dim, start:start + rep.dim])
+                rows, cols, values = blocks.corner(start)
+                corner = np.zeros((size - start, size - start))
+                corner[rows, cols] = values
+                assert np.array_equal(corner, big[start:, start:]), (lam, kind, level, start)
+                assert np.all(np.bincount(rows[rows == cols], minlength=size - start) == 1)
+
+
+@pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if len(lam) >= 2]
+                         + [(3, 2, 1, 0), (2, 2, 2, 2, 2, 0)], ids=str)
+def test_corner_residual_equals_the_window_residual(lam):
+    """The Cbar corner residual and scale read from the projector blocks'
+    entries equal, bit for bit, those of the dense d x d corner window
+    against the dense diagonal matrix of the closed form."""
+    rep = _sweep_rep(lam)
+    n, d = rep.N - 1, rep.dim
+    cm = build_char_matrix(rep, KIND_ABAR)
+    projectors = build_projectors(cm, char_roots(rep.weight, KIND_ABAR))
+    for k, proj in enumerate(projectors, start=1):
+        diagonal = cbar_diagonal(rep, k)
+        window = _window(proj.blocks, n * d, rep.N * d)
+        expected = np.diag(diagonal)
+        reference = (max_abs(window - expected), max(max_abs(window), max_abs(expected)))
+        assert _corner_residual(proj.blocks, n * d, diagonal) == reference, (lam, k)
+
+
+CORNER = "Cbar corner blocks match the closed form"
+
+
+# (2,1,0) is one whole block; (3,3,2,0) has 180 rows, split into blocks.
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 3, 2, 0)], ids=str)
+def test_corner_check_fails_on_a_changed_lowering_entry(lam, replace_generator):
+    """An entry of a_{N,N-1} changed by 1e-3: the Abar matrix and its
+    projectors change, but the closed form does not, so the Cbar corner
+    check fails."""
+    rep = Representation(lam)
+    assert run_suite("invariants", rep=rep).passed
+    moved = rep.gen(rep.N, rep.N - 1).copy()
+    row, col = np.argwhere(moved)[0]
+    moved[row, col] *= 1 + 1e-3
+    replace_generator(rep, rep.N, rep.N - 1, moved)
+    (check,) = [c for c in run_suite("invariants", rep=rep).checks
+                if c.description.startswith(CORNER)]
+    assert not check.passed, check
+
+
+def _window(blocks, start, stop):
+    """Reference for the corner reads: the diagonal square [start:stop,
+    start:stop] of the matrix as a dense array, scattered from the blocks
+    without assembling the rest."""
+    out = np.zeros((stop - start, stop - start))
+    for i, stack in zip(blocks.index, blocks.stacks):
+        inside = (start <= i) & (i < stop)
+        pick = inside[:, :, None] & inside[:, None, :]
+        at = np.broadcast_to(i[:, :, None] - start, stack.shape)
+        out[at[pick], np.swapaxes(at, 1, 2)[pick]] = stack[pick]
+    return out
 
 
 def _same_arrays(first, second) -> bool:
@@ -580,11 +645,14 @@ def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch):
 
     monkeypatch.setattr(charid.verify, "build_char_matrix", keep(build_char_matrix))
     monkeypatch.setattr(charid.verify, "build_projector", keep(build_projector))
+    monkeypatch.setattr(charid.verify, "build_projectors", keep(build_projectors))
     rep = Representation((3, 2, 1, 0))
     assert rep.N * rep.dim >= DENSE_BELOW
     assert run_suite(suite, rep=rep).passed
     assert made
-    for value in made:
+    values = [v for value in made for v in (value if isinstance(value, tuple) else (value,))]
+    assert len(values) > len(made) or suite == "identity"
+    for value in values:
         assert "big" not in value.__dict__ and "matrix" not in value.__dict__, value
 
 
@@ -653,14 +721,15 @@ def test_support_residual_matches_loop_reference(lam):
 def test_support_residual_sees_an_injected_off_shift_entry():
     rep = _sweep_rep((2, 1, 0))
     comps = list(shift_components(rep, 1).components)
-    assert _support_residual(rep, 1, comps) < 1e-12
+    ids = _row_shift_ids(rep)
+    assert _support_residual(ids, 1, comps) < 1e-12
     rows_n = [pat.row(2) for pat in rep.patterns]
     # a_{1,3} may move row 2 from (1, 0) to (2, 0) only; (1, 0) -> (1, 1) is off the shift
     row = rows_n.index((1, 1))
     col = rows_n.index((1, 0))
     comps[0] = comps[0].copy()
     comps[0][row, col] = -0.25
-    assert _support_residual(rep, 1, comps) == 0.25
+    assert _support_residual(ids, 1, comps) == 0.25
     assert _loop_support_residual(rep, 1, comps) == 0.25
 
 
@@ -693,7 +762,7 @@ def _reference_shift_checks(rep, tol):
                        max(max_abs(c - a) for c, a in zip(comps, cross)),
                        max(max_abs(c) for c in comps)))
         checks.append((f"shift component supports only the +D_{r} weight shift on {lam}",
-                       _support_residual(rep, r, comps), 1.0))
+                       _support_residual(_row_shift_ids(rep), r, comps), 1.0))
         mbar_num, mbar_den = norm_invariant_diagonals(rep, r, bar=True)
         m_num, m_den = norm_invariant_diagonals(rep, r, bar=False)
         for i in range(1, n + 1):

@@ -16,7 +16,7 @@ import pytest
 
 from charid.charident import (
     elementary_square_from_invariants,
-    elementary_squares_from_invariants,
+    elementary_square_table,
 )
 from charid.glrep import Representation, nonelementary_coefficient, nonelementary_magnitudes
 from charid.gtbasis import row_starts
@@ -46,9 +46,9 @@ def _assert_matches_reference(lam):
         for n in range(l + 1, rep.N):
             assert np.array_equal(nonelementary_magnitudes(rep, l, n),
                                   _reference_magnitudes(rep, l, n)), (lam, l, n)
+    nums, dens = elementary_square_table(rep)
     for r in range(1, rep.N):
-        nums, dens = elementary_squares_from_invariants(rep, r)
-        batched = [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+        batched = [Fraction(int(p), int(q)) for p, q in zip(nums[:, r - 1], dens[:, r - 1])]
         assert batched == [elementary_square_from_invariants(p, r)
                            for p in rep.patterns], (lam, r)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import charid.superglmn
 from charid.kernel import ConventionError, DomainError, max_abs
 from charid.charident import KIND_A, KIND_ABAR
 from charid.superglmn import (
@@ -53,6 +54,20 @@ def test_gl21_even_bracket_is_commutator():
 @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_graded_relations_exact(mn):
     assert vector_rep_relations_hold(*mn)
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 2)], ids=str)
+def test_graded_relations_fail_on_one_wrong_entry(mn, monkeypatch):
+    """One wrong entry of one generator breaks the graded bracket."""
+    real = charid.superglmn.vector_rep
+
+    def tampered(m, n):
+        gens = real(m, n)
+        gens[(1, m + 1)][0, m] = 2  # a_{1,m+1} = 2 e_{1,m+1}
+        return gens
+
+    monkeypatch.setattr(charid.superglmn, "vector_rep", tampered)
+    assert not vector_rep_relations_hold(*mn)
 
 
 def test_super_roots_gl11_vector():
