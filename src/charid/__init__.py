@@ -30,7 +30,6 @@ from .gtbasis import (
 from .glrep import (
     Representation,
     casimir_eigenvalue_formula,
-    casimir_sigma,
     elementary_coefficient,
     gl_block_matrix,
     nonelementary_coefficient,
@@ -46,6 +45,7 @@ from .charident import (
     build_char_matrix,
     build_projector,
     build_projectors,
+    casimir_sigma,
     char_roots,
     dual_vector_weight,
     elementary_square_from_invariants,

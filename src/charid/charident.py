@@ -23,9 +23,11 @@ from .kernel import (
     ConsistencyError,
     DegenerateRootError,
     DomainError,
+    SchurViolationError,
     Tolerance,
     Triplets,
     max_abs,
+    rationalize,
 )
 from .glrep import (
     Representation,
@@ -208,9 +210,8 @@ class CharMatrix:
 
     @cached_property
     def big(self) -> np.ndarray:
-        """The whole matrix, assembled from the blocks on first use.  The
-        suites read it only for the rank-1 and rank-2 closed forms and the
-        general kind's spectrum."""
+        """The whole matrix, assembled from the blocks on first use: a dense
+        view for tests and callers, which no check of charid reads."""
         return self.blocks.dense()
 
 
@@ -219,11 +220,6 @@ class Projector:
     r: int
     root: Root
     blocks: Blocks
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The projector as a dense matrix, assembled from its blocks once."""
-        return self.blocks.dense()
 
     @property
     def rank(self) -> int:
@@ -396,7 +392,9 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     if cm is None:
         cm = build_char_matrix(Representation(lam), KIND_GENERAL,
                                aux=Representation(mu))
-    eigenvalues = np.linalg.eigvalsh(cm.big)
+    # The coproduct matrix is symmetric, and so is each of its blocks.
+    eigenvalues = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(stack).ravel() for stack in cm.blocks.stacks]))
     atol = tol.threshold(max_abs(eigenvalues))
     out = []
     for value in sorted(candidates):
@@ -418,75 +416,58 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     return tuple(out)
 
 
-def _root_product(big: np.ndarray, nodes, quotients=None, with_scale: bool = False):
-    """Ordered product of the factors (big - node), left to right.
+def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = False):
+    """Ordered product of the factors (blocks - node), left to right, on
+    each stack of equal-size blocks as one batch, as Blocks.
 
-    big is one square matrix or a stack (k, b, b) of them, multiplied as
-    one batch.  A node is a scalar root (float) or a diagonal operator root
-    (float array of big's shape without its last axis); either is
-    subtracted from the diagonal.  Given quotients for operator nodes, one
-    per node of the node's shape (target - node for a target node), each
-    partial product is divided column-wise by its node's quotient, which
-    makes the product a Lagrange interpolation projector.  No nodes give
-    the identity.  With with_scale, returns (product, the largest absolute
-    entry of any factor, 0 for no nodes): the scale of an identity's
-    residual, which no projector needs.
+    A node is a scalar root (an exact Fraction, converted to float once
+    here, not once per stack), subtracted from every diagonal entry, or an
+    operator root, a dense diagonal (float vector of length blocks.size)
+    cut into the blocks.  A target, for operator nodes only, divides each
+    partial product column-wise by its node's quotient target - node,
+    which makes the product the Lagrange projector onto it; scalar nodes
+    go through build_projectors.  No nodes give the identity.  With
+    with_scale, returns (product, the largest absolute entry of any factor
+    over all stacks, 0 for no nodes): the scale of an identity's residual.
 
-    The factor and the two product buffers are allocated once and reused;
-    fresh matrices per factor left the heap up to two matrices larger.
+    Each stack's factor and two product buffers are allocated once and
+    reused; fresh matrices per factor left the heap up to two matrices
+    larger.
     """
-    size = big.shape[-1]
-    factor = np.empty(big.shape)
-    factor_diagonal = factor.reshape(big.shape[:-2] + (size * size,))[..., ::size + 1]
-    product = spare = None
-    scale = 0.0
-    for k, node in enumerate(nodes):
-        np.copyto(factor, big)
-        factor_diagonal -= node
-        if with_scale:
-            scale = max(scale, max_abs(factor))
+    quotients = None if target is None else [target - node for node in nodes]
+    nodes = [node if isinstance(node, np.ndarray) else float(node) for node in nodes]
+    parts, scale = [], 0.0
+    for index, stack in zip(blocks.index, blocks.stacks):
+        b = stack.shape[-1]
+        factor = np.empty(stack.shape)
+        factor_diagonal = factor.reshape(stack.shape[:-2] + (b * b,))[..., ::b + 1]
+        product = spare = None
+        for k, node in enumerate(nodes):
+            np.copyto(factor, stack)
+            factor_diagonal -= node[index] if isinstance(node, np.ndarray) else node
+            if with_scale:
+                scale = max(scale, max_abs(factor))
+            if product is None:
+                product, spare = factor.copy(), np.empty(stack.shape)
+            else:
+                product, spare = np.matmul(product, factor, out=spare), product
+            if quotients is not None:
+                product /= quotients[k][index][..., None, :]
         if product is None:
-            product, spare = factor.copy(), np.empty(big.shape)
-        else:
-            product, spare = np.matmul(product, factor, out=spare), product
-        if quotients is not None:
-            product /= quotients[k][..., None, :]
-    if product is None:
-        product = np.empty(big.shape)
-        product[...] = np.eye(size)
+            product = np.empty(stack.shape)
+            product[...] = np.eye(b)
+        parts.append(product)
+        del factor, factor_diagonal, spare  # freed before the next stack's buffers
+    product = blocks.like(parts)
     return (product, scale) if with_scale else product
 
 
-def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = False):
-    """_root_product on each stack of equal-size blocks, as Blocks, and with
-    with_scale the largest factor entry over all stacks.
-
-    Scalar nodes (exact Fractions) apply to every block and are converted
-    to float once here, not once per stack; an operator node is a dense
-    diagonal (float vector of length blocks.size) and is cut into the
-    blocks, except for a single whole block, which is in index order.  A
-    target, for operator nodes only, makes the product the Lagrange
-    projector onto it; scalar nodes go through build_projectors.
-    """
-    whole = blocks.whole
-    quotients = None if target is None else [target - node for node in nodes]
-    nodes = [_float(node) for node in nodes]
-
-    def cut(nodes, index):
-        if whole or nodes is None:
-            return nodes
-        return [node[index] if isinstance(node, np.ndarray) else node for node in nodes]
-
-    parts = [_root_product(stack, cut(nodes, index), cut(quotients, index), with_scale)
-             for index, stack in zip(blocks.index, blocks.stacks)]
-    if not with_scale:
-        return blocks.like(parts)
-    return blocks.like(product for product, _ in parts), max(scale for _, scale in parts)
-
-
-def _float(node):
-    """A scalar node as a float; an operator node (a float array) as it is."""
-    return node if isinstance(node, np.ndarray) else float(node)
+def identity_residual(blocks: Blocks, values, tol: Tolerance) -> tuple[float, float]:
+    """Residual and threshold of a characteristic identity: the largest
+    entry of the ordered product of (blocks - value) over values, and the
+    tolerance's threshold at the largest entry of any factor."""
+    product, scale = _blocked_product(blocks, values, with_scale=True)
+    return product.max_abs(), tol.threshold(scale)
 
 
 def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
@@ -500,29 +481,62 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
     """
     tol = tol or Tolerance()
     values = sorted({root.value for root in spectrum})
-    d = cm.blocks.size
-    product, scale = _blocked_product(cm.blocks, values, with_scale=True)
-    residual = product.max_abs()
-    threshold = tol.threshold(scale)
+    residual, threshold = identity_residual(cm.blocks, values, tol)
     reports = [CheckRecord(
         f"characteristic identity, kind {cm.kind}, {len(values)} distinct roots",
         residual <= threshold, residual, threshold)]
-    if cm.kind == KIND_A and len(cm.weight) == 1:
-        sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
-        res = max_abs(cm.big - float(sigma1) * np.eye(d))
-        thr = tol.threshold(max_abs(cm.big))
-        reports.append(CheckRecord("rank-1 closed form: A - sigma1", res <= thr, res, thr))
-    if cm.kind == KIND_A and len(cm.weight) == 2:
-        sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
+    if cm.kind != KIND_A or len(cm.weight) > 2:
+        return reports
+    a = cm.blocks
+    sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
+    if len(cm.weight) == 1:
+        form, scale = _blocked_product(a, [sigma1]), a.max_abs()
+        name = "rank-1 closed form: A - sigma1"
+    else:
         sigma2 = casimir_eigenvalue_formula(cm.weight, 2)
         const = (sigma1 * sigma1 + sigma1 - sigma2) / 2
-        m = cm.big
-        res = max_abs(m @ m - float(sigma1 + 1) * m + float(const) * np.eye(d))
-        thr = tol.threshold(max(max_abs(m @ m), max_abs(m)))
-        reports.append(CheckRecord(
-            "rank-2 closed form: A^2 - (sigma1+1) A + (sigma1^2+sigma1-sigma2)/2",
-            res <= thr, res, thr))
+        # A^2 - (sigma1+1) A, then + const on the diagonal as - (-const).
+        square = _blocked_product(a, [0, 0])
+        form = _blocked_product(a.like(q - float(sigma1 + 1) * s
+                                       for q, s in zip(square.stacks, a.stacks)), [-const])
+        scale = max(square.max_abs(), a.max_abs())
+        name = "rank-2 closed form: A^2 - (sigma1+1) A + (sigma1^2+sigma1-sigma2)/2"
+    res, thr = form.max_abs(), tol.threshold(scale)
+    reports.append(CheckRecord(name, res <= thr, res, thr))
     return reports
+
+
+def casimir_sigma(rep: Representation, order: int,
+                  tol: Tolerance | None = None) -> Fraction:
+    """Eigenvalue of the order-M Casimir trace on the module.
+
+    Takes the M-th power of the kind-A characteristic matrix on its blocks
+    and its block partial trace, the sum of its d x d diagonal blocks, read
+    from the block entries whose two states share a block row; checks the
+    trace is scalar (Schur) and rounds it to an exact rational.
+    """
+    if order < 1:
+        raise DomainError(f"Casimir order must be >= 1, got {order}")
+    tol = tol or Tolerance()
+    d = rep.dim
+    if not np.isfinite(rep.entries.values).all():
+        raise DomainError(f"the generators of {rep.weight} have non-finite entries")
+    powered = _blocked_product(build_char_matrix(rep, KIND_A).blocks, [0] * order)
+    if not all(np.isfinite(stack).all() for stack in powered.stacks):
+        raise DomainError(f"the order-{order} power on {rep.weight} has non-finite entries")
+    traced = np.zeros((d, d))
+    for index, stack in zip(powered.index, powered.stacks):
+        rows, cols = np.broadcast_arrays(index[:, :, None], index[:, None, :])
+        same = rows // d == cols // d
+        np.add.at(traced, (rows[same] % d, cols[same] % d), stack[same])
+    scalar = float(np.trace(traced)) / d
+    deviation = traced - scalar * np.eye(d)
+    if max_abs(deviation) > tol.threshold(powered.max_abs()):
+        raise SchurViolationError(
+            f"order-{order} Casimir is not scalar on {rep.weight}: "
+            f"max deviation {max_abs(deviation)}"
+        )
+    return rationalize(scalar, tol)
 
 
 def build_projectors(cm: CharMatrix, spectrum) -> tuple[Projector, ...]:

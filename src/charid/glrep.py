@@ -28,18 +28,16 @@ from .kernel import (
     ConsistencyError,
     DegeneratePatternError,
     DomainError,
-    SchurViolationError,
     Surd,
-    Tolerance,
     Triplets,
     commutator,  # unused here, kept as a name the benchmark's tracer wraps
     freeze,
     join,
-    matrix_power,
-    max_abs,
+    matrix_power,  # unused here, kept as a name the benchmark's tracer wraps
+    max_abs,  # unused here, kept as a name the benchmark's tracer wraps
     offsets,
-    partial_trace_block,
-    rationalize,
+    partial_trace_block,  # unused here, kept as a name the benchmark's tracer wraps
+    rationalize,  # unused here, kept as a name the benchmark's tracer wraps
 )
 from .gtbasis import (
     GTPattern,
@@ -535,30 +533,6 @@ def gl_block_matrix(rep: Representation, kind: str = "A",
     big = np.zeros((size, size))
     big[rows, cols] = values
     return big
-
-
-def casimir_sigma(rep: Representation, order: int,
-                  tol: Tolerance | None = None) -> Fraction:
-    """Eigenvalue of the order-M Casimir trace on the module.
-
-    Takes the block partial trace of the M-th power of the generator block
-    matrix, checks the result is scalar (Schur) and rounds it to an exact
-    rational.
-    """
-    if order < 1:
-        raise DomainError(f"Casimir order must be >= 1, got {order}")
-    tol = tol or Tolerance()
-    big = gl_block_matrix(rep, "A")
-    powered = matrix_power(big, order)
-    traced = partial_trace_block(powered, rep.N, rep.dim)
-    scalar = float(np.trace(traced)) / rep.dim
-    deviation = traced - scalar * np.eye(rep.dim)
-    if not tol.is_zero(deviation, powered):
-        raise SchurViolationError(
-            f"order-{order} Casimir is not scalar on {rep.weight}: "
-            f"max deviation {max_abs(deviation)}"
-        )
-    return rationalize(scalar, tol)
 
 
 def casimir_eigenvalue_formula(lam, order: int) -> Fraction:

@@ -24,6 +24,7 @@ from .gtbasis import (
 )
 from .glrep import (
     Representation,
+    _exact_products,
     nonelementary_coefficient,  # unused here, kept as a name the benchmark's tracer wraps
     nonelementary_magnitudes,
 )
@@ -208,9 +209,9 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
             f"mutual orthogonality, kind {kind} on {format_weight(rep.weight)}",
             ortho, tol.threshold(scale * scale))
         completeness = 0.0
-        for index, *stacks in zip(cm.blocks.index, *(p.blocks.stacks for p in projectors)):
+        for stacks in zip(*(p.blocks.stacks for p in projectors)):
             total = sum(stacks)
-            diag = np.arange(index.shape[1])
+            diag = np.arange(total.shape[-1])
             total[:, diag, diag] -= 1.0
             completeness = max(completeness, max_abs(total))
         report.add_residual(
@@ -333,12 +334,10 @@ def _cleared_residual(gram: np.ndarray, projector, num: np.ndarray, den: np.ndar
 
 
 def _same_ratios(p, q, s, t) -> bool:
-    """p/q == s/t entry by entry, by exact cross-multiplication: in int64
-    while no product can reach 2**63, in Python ints otherwise."""
-    big = max(int(np.abs(a).max(initial=0)) for a in (p, q, s, t))
-    dtype = np.int64 if big * big < 2 ** 63 else object
-    p, q, s, t = (a.astype(dtype) for a in (p, q, s, t))
-    return bool(np.all(p * t == s * q))
+    """p/q == s/t entry by entry, by exact cross-multiplication, the
+    products p t and s q taken as glrep._exact_products takes them."""
+    pt, sq = _exact_products(1, np.stack((p, t), axis=1), np.stack((s, q), axis=1))
+    return bool(np.all(pt == sq))
 
 
 def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:

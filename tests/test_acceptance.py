@@ -14,7 +14,6 @@ from charid.gtbasis import branch, dimension, format_weight, weight
 from charid.glrep import (
     Representation,
     casimir_eigenvalue_formula,
-    casimir_sigma,
     nonelementary_coefficient,
 )
 from charid.charident import (
@@ -25,6 +24,7 @@ from charid.charident import (
     Root,
     build_char_matrix,
     build_projector,
+    casimir_sigma,
     cbar_diagonal,
     char_roots,
     elementary_square_from_invariants,
@@ -157,12 +157,12 @@ def test_criterion_4_projector_suite(reps):
                 spectrum = char_roots(rep.weight, kind)
                 projectors = [build_projector(cm, spectrum, r)
                               for r in range(1, rep.N + 1)]
-                for proj in projectors:
-                    assert max_abs(proj.matrix @ proj.matrix
-                                   - proj.matrix) < 1e-8, (lam, kind)
-                for a, b in itertools.combinations(projectors, 2):
-                    assert max_abs(a.matrix @ b.matrix) < 1e-8, (lam, kind)
-                total = sum(p.matrix for p in projectors)
+                matrices = [proj.blocks.dense() for proj in projectors]
+                for matrix in matrices:
+                    assert max_abs(matrix @ matrix - matrix) < 1e-8, (lam, kind)
+                for a, b in itertools.combinations(matrices, 2):
+                    assert max_abs(a @ b) < 1e-8, (lam, kind)
+                total = sum(matrices)
                 assert max_abs(total - np.eye(d)) < 1e-8, (lam, kind)
                 for proj in projectors:
                     expected = proj.root.multiplicity
@@ -184,7 +184,7 @@ def test_criterion_5_projector_corner_invariants(reps):
                 spectrum = char_roots(rep.weight, KIND_ABAR)
                 for k in range(1, n + 1):
                     proj = build_projector(cm, spectrum, k)
-                    block = proj.matrix[(n - 1) * rep.dim:, (n - 1) * rep.dim:]
+                    block = proj.blocks.dense()[(n - 1) * rep.dim:, (n - 1) * rep.dim:]
                     expected = np.diag(cbar_diagonal(rep, k))
                     assert max_abs(block - expected) < 1e-8, (lam, k)
 

@@ -10,11 +10,15 @@ from charid.kernel import (
     DegenerateRootError,
     DomainError,
     Tolerance,
+    matrix_power,
     max_abs,
+    partial_trace_block,
+    rationalize,
 )
 from charid.gtbasis import (
     branch, dimension, enumerate_patterns, format_weight, is_dominant, pattern_weight,
     table_labels, weight)
+import charid
 import charid.verify
 from charid.glrep import Representation, gl_block_entries, gl_block_matrix
 from charid.charident import (
@@ -33,6 +37,7 @@ from charid.charident import (
     build_char_matrix,
     build_projector,
     build_projectors,
+    casimir_sigma,
     cbar_diagonal,
     char_roots,
     dual_vector_weight,
@@ -177,7 +182,7 @@ def test_projector_single_root_is_identity():
     rep = Representation((5,))
     cm = build_char_matrix(rep, KIND_A)
     proj = build_projector(cm, char_roots((5,), KIND_A), 1)
-    assert np.array_equal(proj.matrix, np.eye(1))
+    assert np.array_equal(proj.blocks.dense(), np.eye(1))
 
 
 def test_projector_rank_counts_constituent_dimension():
@@ -195,7 +200,7 @@ def test_projector_absent_root_is_zero():
     spec = char_roots((1, 1), KIND_ABAR)
     assert spec[1].multiplicity == 0
     proj = build_projector(cm, spec, 2)
-    assert max_abs(proj.matrix) == 0.0
+    assert max_abs(proj.blocks.dense()) == 0.0
 
 
 def test_projector_algebra():
@@ -203,7 +208,7 @@ def test_projector_algebra():
     for kind in (KIND_A, KIND_ABAR):
         cm = build_char_matrix(rep, kind)
         spec = char_roots((2, 1, 0), kind)
-        projs = [build_projector(cm, spec, r).matrix for r in (1, 2, 3)]
+        projs = [build_projector(cm, spec, r).blocks.dense() for r in (1, 2, 3)]
         for p in projs:
             assert max_abs(p @ p - p) < 1e-10
         for p, q in itertools.combinations(projs, 2):
@@ -224,7 +229,7 @@ def test_spectral_calculus_degree_three():
     rep = Representation((2, 1, 0))
     cm = build_char_matrix(rep, KIND_A)
     spec = char_roots((2, 1, 0), KIND_A)
-    projs = {r: build_projector(cm, spec, r).matrix for r in (1, 2, 3)}
+    projs = {r: build_projector(cm, spec, r).blocks.dense() for r in (1, 2, 3)}
     for _ in range(5):
         coeffs = [rng.randint(-3, 3) for _ in range(4)]
         lhs = sum(c * np.linalg.matrix_power(cm.big, k)
@@ -303,7 +308,7 @@ def test_cbar_operator_blocks_match_formula():
     spec = char_roots(rep.weight, KIND_ABAR)
     for k in (1, 2, 3):
         proj = build_projector(cm, spec, k)
-        block = _block(proj.matrix, 3, 3, rep.dim)
+        block = _block(proj.blocks.dense(), 3, 3, rep.dim)
         assert max_abs(block - np.diag(cbar_diagonal(rep, k))) < 1e-9
 
 
@@ -444,7 +449,7 @@ def test_blocked_products_match_dense_reference(lam):
                 reference = _dense_product(
                     cm.big, [v for v in present if v != root.value], root.value)
             assert projector.r == r and projector.root == root
-            for matrix in (projector.matrix, split.blocks.dense()):
+            for matrix in (projector.blocks.dense(), split.blocks.dense()):
                 assert max_abs(matrix - reference) <= 1e-12, (lam, kind, r)
             assert projector.rank == int(round(np.trace(reference))), (lam, kind, r)
             assert projector.rank == root.multiplicity
@@ -630,11 +635,39 @@ def _same_arrays(first, second) -> bool:
         for a, b in zip(first, second))
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a dense view or a dense power was evaluated")
+
+
+@pytest.fixture
+def blocked_only(monkeypatch):
+    """Blocks.dense, CharMatrix.big and the dense block matrix, power and
+    partial trace raise wherever they are looked up.  Returns the list of
+    the node lists _blocked_product is called with."""
+    monkeypatch.setattr(Blocks, "dense", _refuse)
+    monkeypatch.setattr(CharMatrix, "big", property(_refuse))
+    for module in (charid, charid.kernel, charid.glrep, charid.charident,
+                   charid.superglmn, charid.verify):
+        for name in ("gl_block_matrix", "matrix_power", "partial_trace_block"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    calls = []
+    product = charid.charident._blocked_product
+
+    def counted(blocks, nodes, *args, **kwargs):
+        calls.append(list(nodes))
+        return product(blocks, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(charid.charident, "_blocked_product", counted)
+    return calls
+
+
 @pytest.mark.parametrize("suite", ["identity", "projectors", "invariants"])
-def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch):
-    """On a module of 128+ block rows the suites read the characteristic
-    matrices and their projectors as blocks only: neither `big` nor
-    `matrix` is ever assembled."""
+def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch, blocked_only):
+    """On a module of DENSE_BELOW or more block rows the suites read the
+    characteristic matrices, their projectors and the restricted
+    projectors as blocks only: no dense view is ever assembled, and a
+    projector has none."""
     made = []
 
     def keep(fn):
@@ -653,7 +686,138 @@ def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch):
     values = [v for value in made for v in (value if isinstance(value, tuple) else (value,))]
     assert len(values) > len(made) or suite == "identity"
     for value in values:
-        assert "big" not in value.__dict__ and "matrix" not in value.__dict__, value
+        assert "big" not in value.__dict__ and not hasattr(value, "matrix"), value
+
+
+@pytest.mark.parametrize("lam", [(Fraction(5, 2),), (3, 1), (60, 0)], ids=str)
+def test_identity_and_closed_forms_run_on_blocks_only(lam, blocked_only):
+    """The identity and the rank-1 and rank-2 closed forms, on a whole
+    block and on (60,0), whose 122 rows are split into blocks."""
+    rep = Representation(lam)
+    report = run_suite("identity", rep=rep)
+    assert report.passed and len(report.checks) == 3
+    assert "closed form" in report.checks[1].description
+    assert blocked_only
+
+
+def test_super_suite_runs_on_blocks_only(blocked_only):
+    assert run_suite("super", super_mn=(2, 2)).passed
+    assert len(blocked_only) == 2  # the full root product of each kind
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 2, 1, 0, 0)], ids=str)
+def test_casimir_runs_on_blocks_only(lam, blocked_only):
+    """casimir_sigma takes A^m as the ordered product of m factors A - 0."""
+    rep = _sweep_rep(lam)
+    values = [casimir_sigma(rep, order) for order in range(1, 5)]
+    assert values[:2] == [casimir_eigenvalue_formula(lam, k) for k in (1, 2)]
+    assert blocked_only == [[0] * order for order in range(1, 5)]
+
+
+@pytest.mark.parametrize("aux", ["vector", "dual"])
+def test_general_spectrum_runs_on_blocks_only(aux, blocked_only):
+    lam = (3, 2, 1, 0)  # 256 rows with either aux, split into blocks
+    rep = _sweep_rep(lam)
+    if aux == "dual":
+        mu, aux_rep = dual_vector_weight(4), DualVectorRep(4)
+    else:
+        mu, aux_rep = vector_weight(4), Representation(vector_weight(4))
+    cm = build_char_matrix(rep, KIND_GENERAL, aux=aux_rep)
+    assert not cm.blocks.whole
+    roots = char_roots(lam, KIND_GENERAL, mu, cm=cm)
+    assert sum(root.multiplicity for root in roots) == cm.blocks.size
+    if aux == "vector":  # char_roots builds the matrix itself
+        assert char_roots(lam, KIND_GENERAL, mu) == roots
+
+
+# ---------------------------------------------------------------------------
+# The dense evaluations the blocked ones replaced, kept as references.
+
+def _dense_identity(big, values, tol):
+    """An identity's residual and threshold as the dense path took them: the
+    ordered product of the whole factors big - value, left to right, and
+    the threshold at the largest entry of any factor."""
+    eye = np.eye(len(big))
+    scale = max((max_abs(big - float(value) * eye) for value in values), default=0.0)
+    return max_abs(_dense_product(big, values)), tol.threshold(scale)
+
+
+def _dense_closed_form(cm, tol):
+    """The rank-1 or rank-2 closed form's residual and threshold on the
+    whole kind-A matrix."""
+    big, eye = cm.big, np.eye(len(cm.big))
+    sigma1 = casimir_eigenvalue_formula(cm.weight, 1)
+    if len(cm.weight) == 1:
+        return max_abs(big - float(sigma1) * eye), tol.threshold(max_abs(big))
+    sigma2 = casimir_eigenvalue_formula(cm.weight, 2)
+    const = (sigma1 * sigma1 + sigma1 - sigma2) / 2
+    square = big @ big
+    return (max_abs(square - float(sigma1 + 1) * big + float(const) * eye),
+            tol.threshold(max(max_abs(square), max_abs(big))))
+
+
+def _dense_casimir(rep, order, tol):
+    """casimir_sigma on the whole generator block matrix: its order-th
+    power, the sum of the power's diagonal blocks, the Schur check and the
+    rounding to a rational."""
+    powered = matrix_power(gl_block_matrix(rep, KIND_A), order)
+    traced = partial_trace_block(powered, rep.N, rep.dim)
+    scalar = float(np.trace(traced)) / rep.dim
+    assert tol.is_zero(traced - scalar * np.eye(rep.dim), powered)
+    return rationalize(scalar, tol)
+
+
+# 42 gl(1) and gl(2) weights; (60,0), (80,3) and (121/2,1/2) have 122, 156
+# and 122 rows and are split into blocks.
+CLOSED_FORM_WEIGHTS = (
+    [(k,) for k in range(-3, 7)] + [(Fraction(k, 2),) for k in (7, 5, -1)]
+    + [(a, b) for a in range(6) for b in range(a + 1)]
+    + [(Fraction(5, 2), Fraction(1, 2)), (Fraction(7, 2), Fraction(-1, 2)), (-1, -3),
+       (Fraction(9, 2), Fraction(9, 2)), (Fraction(3, 2), Fraction(-5, 2)),
+       (60, 0), (80, 3), (Fraction(121, 2), Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("lam", CLOSED_FORM_WEIGHTS, ids=str)
+def test_closed_forms_on_blocks_are_the_dense_ones_bit_for_bit(lam):
+    cm = build_char_matrix(Representation(lam), KIND_A)
+    check = verify_identity(cm, char_roots(lam, KIND_A), TOL)[1]
+    assert (check.residual, check.threshold) == _dense_closed_form(cm, TOL), lam
+    assert check.passed
+
+
+# Every dominant gl(1)-gl(4) weight with labels 0..3 ending in 0, and three
+# whose matrices split into many blocks: 152 Casimir values over orders 1-4.
+CASIMIR_WEIGHTS = ([lam for lam in BLOCK_SWEEP if len(lam) < 5 and lam[-1] == 0]
+                   + [(3, 2, 1, 0, 0), (4, 2, 1, 0), (6, 6, 5, 0)])
+
+
+@pytest.mark.parametrize("lam", CASIMIR_WEIGHTS, ids=str)
+def test_casimir_on_blocks_equals_the_dense_value(lam):
+    rep = _sweep_rep(lam)
+    for order in range(1, 5):
+        assert casimir_sigma(rep, order) == _dense_casimir(rep, order, TOL), (lam, order)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_casimir_rejects_non_finite_entries(order, replace_generator):
+    rep = Representation((2, 1, 0))
+    matrix = rep.gen(1, 2)
+    matrix[tuple(np.argwhere(matrix)[0])] = np.inf
+    replace_generator(rep, 1, 2, matrix)
+    with pytest.raises(DomainError):
+        casimir_sigma(rep, order)
+
+
+@pytest.mark.parametrize("lam, mu", GENERAL_CASES, ids=str)
+def test_general_spectrum_on_blocks_matches_the_whole_matrix(lam, mu):
+    """char_roots on the split blocks and on one whole block (a single
+    eigensolve of the dense matrix) find the same roots."""
+    rep = _sweep_rep(lam)
+    aux = DualVectorRep(rep.N) if mu == "dual" else Representation(mu)
+    mu = dual_vector_weight(rep.N) if mu == "dual" else mu
+    cm = build_char_matrix(rep, KIND_GENERAL, aux=aux)
+    whole = CharMatrix(KIND_GENERAL, cm.weight, _split(cm.big, (np.arange(cm.blocks.size)[None, :],)))
+    assert char_roots(lam, KIND_GENERAL, mu, cm=cm) == char_roots(lam, KIND_GENERAL, mu, cm=whole)
 
 
 @pytest.mark.parametrize("lam", BLOCK_SWEEP, ids=str)

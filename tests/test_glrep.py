@@ -10,11 +10,11 @@ from charid.gtbasis import enumerate_patterns, pattern_weight, weight
 from charid.glrep import (
     Representation,
     casimir_eigenvalue_formula,
-    casimir_sigma,
     elementary_coefficient,
     gl_block_matrix,
     nonelementary_coefficient,
 )
+from charid.charident import casimir_sigma
 
 TOL = Tolerance()
 

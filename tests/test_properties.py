@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charid.superglmn
 from charid.charident import (
     KIND_A, KIND_ABAR, alpha_bar_roots, alpha_roots, build_char_matrix, build_projector,
     char_roots)
 from charid.glrep import Representation, sparse_commutator
 from charid.kernel import Triplets
 from charid.gtbasis import dimension, is_dominant, pattern_table, table_patterns, weight
+from charid.superglmn import vector_rep_relations_hold
 from charid.verify import run_suite
 from test_acceptance import _assert_matches_dense
 
@@ -212,3 +214,37 @@ def test_sparse_commutator_is_the_dense_commutator(case):
     decided = np.abs(dense) > 2 * bound  # rounding cannot make these zero
     assert np.array_equal((scattered != 0)[decided], (dense != 0)[decided])
     assert not np.any(scattered[bound == 0]) and not np.any(dense[bound == 0])
+
+
+@st.composite
+def moved_entries(draw):
+    """(m, n, (p, q), (row, col)): a gl(m|n) with m + n <= 6, a generator
+    a_pq of its vector representation and a position other than the one
+    of a_pq's single entry."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6 - m))
+    size = m + n
+    p, q = draw(st.integers(1, size)), draw(st.integers(1, size))
+    target = draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                  .filter(lambda at: at != (p - 1, q - 1)))
+    return m, n, (p, q), target
+
+
+@PROPERTY_SETTINGS
+@given(moved_entries())
+def test_graded_relations_hold_and_break_on_one_moved_entry(case):
+    """The graded bracket holds exactly on the vector representation of a
+    random gl(m|n), and fails once one generator's entry moves."""
+    m, n, (p, q), target = case
+    assert vector_rep_relations_hold(m, n)
+    real = charid.superglmn.vector_rep
+
+    def moved(m, n):
+        gens = real(m, n)
+        gens[(p, q)][p - 1, q - 1] = 0
+        gens[(p, q)][target] = 1
+        return gens
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charid.superglmn, "vector_rep", moved)
+        assert not vector_rep_relations_hold(m, n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import charid.superglmn
-from charid.kernel import ConventionError, DomainError, max_abs
+from charid.kernel import ConventionError, DomainError, Tolerance, max_abs
 from charid.charident import KIND_A, KIND_ABAR
 from charid.superglmn import (
     ATYPICAL,
@@ -27,6 +27,7 @@ from charid.superglmn import (
     vector_rep_relations_hold,
     verify_super_identity,
 )
+from test_charident import _dense_identity
 
 
 def sw(even, odd):
@@ -103,6 +104,21 @@ def test_super_identity_gl21_a():
 def test_super_identity_grid(mn, kind):
     report = verify_super_identity(*mn, kind)
     assert report.passed and report.residual < 1e-10
+
+
+@pytest.mark.parametrize("mn", [(m, n) for m in range(1, 4) for n in range(1, 4)], ids=str)
+@pytest.mark.parametrize("kind, convention", [
+    (KIND_A, "row-parity"), (KIND_A, "ungraded"),
+    (KIND_ABAR, "minus-graded-swap"), (KIND_ABAR, "ungraded-swap")])
+def test_super_identity_is_the_dense_product_bit_for_bit(mn, kind, convention):
+    """The super identity on its whole block against the product of the
+    dense factors: the same residual and threshold, bit for bit, for the
+    frozen conventions and the ungraded ones that fail."""
+    m, n = mn
+    check = verify_super_identity(m, n, kind, convention=convention)
+    values = sorted(root.value for root in super_char_roots(super_vector_weight(m, n), kind))
+    expected = _dense_identity(super_char_matrix(m, n, kind, convention), values, Tolerance())
+    assert (check.residual, check.threshold) == expected
 
 
 def test_ungraded_convention_fails():
