@@ -16,18 +16,14 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
-from .kernel import DomainError, Tolerance, to_rational
+from .kernel import DomainError, Tolerance, offsets, to_rational
 from .glrep import Representation
-from .gtbasis import (
-    pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
-    row_starts,
-    table_labels,
-    table_weights,
-)
+from .gtbasis import row_starts, table_labels, table_weights
 from .charident import KIND_A, KIND_ABAR, char_roots
 from .superglmn import (
     SuperWeight,
@@ -87,13 +83,9 @@ def parse_weight(text: str, family: str, sizes) -> tuple:
 
 
 def resolve_tolerance(value: float | None) -> Tolerance:
-    if value is None:
-        env = os.environ.get("CHARID_TOLERANCE")
-        if env is not None:
-            value = float(env)
-    if value is None:
-        return Tolerance()
-    return Tolerance(abs_eps=value, rel_eps=value)
+    if value is None and "CHARID_TOLERANCE" in os.environ:
+        value = float(os.environ["CHARID_TOLERANCE"])
+    return Tolerance() if value is None else Tolerance(abs_eps=value, rel_eps=value)
 
 
 class _Raw(str):
@@ -168,48 +160,81 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _numbers(values: np.ndarray) -> tuple[list, str]:
-    """Triplet values and their %-format: floats as %.17g, which must be
-    finite, integers as they are."""
-    if values.dtype.kind != "f":
-        return values.tolist(), "%d"
+# Every generator's (name, kind) and nonzero entries, generator after
+# generator and row-major within each: generator g owns the entries
+# starts[g]:starts[g+1], and entry e's value is the JSON text texts[codes[e]].
+_Table = namedtuple("_Table", "generators starts rows cols codes texts")
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Each value's index among the distinct values, which must be finite,
+    and their %.17g texts."""
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise DomainError(f"cannot serialize non-finite float {float(bad[0])}")
-    return values.tolist(), "%.17g"
+    unique, codes = np.unique(values, return_inverse=True)
+    return codes, ["%.17g" % v for v in unique.tolist()]
 
 
-def _gl_generators(rep: Representation) -> list[tuple]:
-    """(name, kind, rows, cols, values, format) of each generator's nonzero
-    entries, row-major; a quoted format makes the values JSON strings."""
-    d = rep.dim
-    # Every diagonal entry is lam_N plus an integer offset; each distinct
-    # value is formatted once.  An elementary entry is the str of
-    # Surd.sqrt(Fraction(p, q)), with p/q the stored square reduced by gcd.
-    diagonals = table_labels(rep.weight, table_weights(rep.table, rep.N), str)
-    roots = {}
-    for k, (_, _, nums, dens) in rep._ladders.items():
+def _gl_table(rep: Representation) -> _Table:
+    """The module's triplet table rep.entries, each distinct value rendered
+    once."""
+    N, d = rep.N, rep.dim
+    rows, cols, values = rep.entries
+    i, j = np.divmod(rep.entry_gen, N)
+    step = abs(i - j)
+    codes = np.empty(len(rows), dtype=np.intp)
+    # A diagonal entry is lam_N plus an integer offset: one text per offset.
+    weights = table_weights(rep.table, N)
+    span = np.arange(weights.min(initial=0), weights.max(initial=0) + 1)
+    texts = table_labels(rep.weight, span, '"{}"'.format).tolist()
+    codes[step == 0] = weights[rows[step == 0], i[step == 0]] - span[0]
+    # An elementary entry is the str of Surd.sqrt(Fraction(p, q)), with p/q
+    # the stored square of a_{k,k+1}'s entry reduced by gcd: one text per
+    # distinct (p, q), placed at the entry and its transpose in a_{k+1,k}.
+    # Every square is positive, so the ladders hold exactly these entries.
+    if rep._ladders:
+        lrows, lcols, nums, dens = (np.concatenate(a) for a in zip(*rep._ladders.values()))
+        k = np.repeat(np.arange(1, N), [len(ladder[0]) for ladder in rep._ladders.values()])
         g = np.gcd(nums, dens)
-        roots[k] = np.array(["1*sqrt(%d/%d)" % pq if pq[0] else "0"
-                             for pq in zip((nums // g).tolist(), (dens // g).tolist())])
-    out = []
-    for i, j in rep.generator_labels():
-        name = f"a_{i}_{j}"
-        if i == j:
-            idx = np.flatnonzero(diagonals[:, i - 1] != "0")
-            out.append((name, "diagonal", idx.tolist(), idx.tolist(),
-                        diagonals[idx, i - 1].tolist(), '"%s"'))
-        elif abs(i - j) == 1:
-            rows, cols, _, _ = rep._ladders[min(i, j)]
-            if i > j:
-                rows, cols = cols, rows
-            order = np.argsort(rows * d + cols, kind="stable")
-            out.append((name, "elementary", rows[order].tolist(), cols[order].tolist(),
-                        roots[min(i, j)][order].tolist(), '"%s"'))
-        else:
-            rows, cols, values = rep.triplets(i, j)
-            out.append((name, "nonelementary", rows.tolist(), cols.tolist(), *_numbers(values)))
-    return out
+        nums, dens = nums // g, dens // g
+        (_, p), (_, q) = (np.unique(x, return_inverse=True) for x in (nums, dens))
+        _, first, pair = np.unique(p * (q.max(initial=0) + 1) + q,
+                                   return_index=True, return_inverse=True)
+        key = np.concatenate([(((k - 1) * N + k) * d + lrows) * d + lcols,
+                              ((k * N + k - 1) * d + lcols) * d + lrows])
+        codes[step == 1] = len(texts) + np.tile(pair, 2)[np.argsort(key)]
+        texts += ['"1*sqrt(%d/%d)"' % pq for pq in zip(nums[first].tolist(), dens[first].tolist())]
+    found, floats = _distinct(values[step > 1])
+    codes[step > 1] = len(texts) + found
+    kinds = ("diagonal", "elementary", "nonelementary")
+    return _Table([(f"a_{a}_{b}", kinds[min(abs(a - b), 2)]) for a, b in rep.generator_labels()],
+                  rep.entry_starts, rows, cols, codes, texts + floats)
+
+
+def _super_table(m: int, n: int) -> _Table:
+    gens = vector_rep(m, n)
+    keys = sorted(gens)
+    mats = np.array([gens[key] for key in keys])
+    g, rows, cols = np.nonzero(mats)
+    return _Table([(f"a_{p}_{q}", "vector") for p, q in keys], offsets(g, len(keys)),
+                  rows, cols, *_distinct(mats[g, rows, cols]))
+
+
+def _pieces(table: _Table, dim: int, fmt: str) -> np.ndarray:
+    """One row of text pieces per triplet, taken by index from pieces made
+    once per index and per distinct value: `name,row,col,value` lines for
+    CSV, `[row, col, value], ` for JSON."""
+    if fmt == "csv":
+        index = np.array(["%d," % v for v in range(dim)], dtype=object)
+        names = np.array([name + "," for name, _ in table.generators], dtype=object)
+        columns = [np.repeat(names, np.diff(table.starts)), index[table.rows], index[table.cols]]
+        texts = [s.strip('"') + "\n" for s in table.texts]
+    else:
+        columns = [np.array(["[%d, " % v for v in range(dim)], dtype=object)[table.rows],
+                   np.array(["%d, " % v for v in range(dim)], dtype=object)[table.cols]]
+        texts = [s + "], " for s in table.texts]
+    return np.stack(columns + [np.array(texts, dtype=object)[table.codes]], axis=1)
 
 
 def _gl_basis(rep: Representation) -> _Raw:
@@ -225,51 +250,32 @@ def _gl_basis(rep: Representation) -> _Raw:
     return _Raw("[" + ", ".join(entry % (i, *row) for i, row in enumerate(labels.tolist())) + "]")
 
 
-def _super_generators(m: int, n: int) -> list[tuple]:
-    gens = vector_rep(m, n)
-    out = []
-    for p, q in sorted(gens):
-        rows, cols = np.nonzero(gens[(p, q)])
-        out.append((f"a_{p}_{q}", "vector", rows.tolist(), cols.tolist(),
-                    *_numbers(gens[(p, q)][rows, cols])))
-    return out
-
-
 def cmd_rep(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
         rep = Representation(parsed)
-        labels, dim = rep.weight, rep.dim
-        generators = _gl_generators(rep)
+        labels, dim, table = rep.weight, rep.dim, _gl_table(rep)
     else:
         if parsed != super_vector_weight(*sizes):
             raise DomainError(
                 "representation export for gl(m|n) covers the vector weight only")
-        labels, dim = super_vector_weight(*sizes).labels(), sum(sizes)
-        generators = _super_generators(*sizes)
-    # Each generator's triplets are written with one format and one join.
+        labels, dim, table = parsed.labels(), sum(sizes), _super_table(*sizes)
+    pieces = _pieces(table, dim, args.format)
     if args.format == "csv":
-        lines = ["generator,row,col,value"]
-        for name, _, rows, cols, values, fmt in generators:
-            line = f"{name},%d,%d," + fmt.strip('"')
-            lines.extend(map(line.__mod__, zip(rows, cols, values)))
-        _write_output("\n".join(lines) + "\n", args.output)
+        _write_output("generator,row,col,value\n" + "".join(pieces.ravel().tolist()),
+                      args.output)
         return 0
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "rep",
-        "algebra": args.algebra,
-        "weight": [str(x) for x in labels],
-        "dimension": dim,
-    }
+    payload = {"schema": SCHEMA_VERSION, "command": "rep", "algebra": args.algebra,
+               "weight": [str(x) for x in labels], "dimension": dim}
     if family == "gl":
         payload["basis"] = _gl_basis(rep)
+    starts = table.starts.tolist()
+    # Each generator's triplets are one join; the last one's ", " is cut.
     payload["generators"] = [
         {"name": name, "kind": kind, "rows": dim, "cols": dim,
-         "triplets": _Raw("[" + ", ".join(map(f"[%d, %d, {fmt}]".__mod__,
-                                              zip(rows, cols, values))) + "]")}
-        for name, kind, rows, cols, values, fmt in generators]
+         "triplets": _Raw("[" + "".join(pieces[lo:hi].ravel().tolist())[:-2] + "]")}
+        for (name, kind), lo, hi in zip(table.generators, starts, starts[1:])]
     _write_output(render_json(payload), args.output)
     return 0
 
@@ -286,14 +292,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if family != "gl":
             raise DomainError(f"suite {args.suite} needs a gl(n) algebra")
         report = run_suite(args.suite, rep=Representation(parsed), tol=tol)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "algebra": args.algebra,
-        "weight": args.weight,
-        "suite": args.suite,
-        "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
-    }
+    payload = {"schema": SCHEMA_VERSION, "command": "verify", "algebra": args.algebra,
+               "weight": args.weight, "suite": args.suite,
+               "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}}
     payload.update(report.to_dict())
     payload["checks"] = _checks_json(report.checks)
     _write_output(render_json(payload), args.output)
@@ -376,12 +377,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_weight(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "rep": cmd_rep,
-        "verify": cmd_verify,
-        "roots": cmd_roots,
-        "classify": cmd_classify,
-    }
+    handlers = {"rep": cmd_rep, "verify": cmd_verify, "roots": cmd_roots,
+                "classify": cmd_classify}
     try:
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:

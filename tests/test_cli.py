@@ -390,6 +390,11 @@ EXPORTS = [
     ("gl12", ",".join(["3/2"] + ["-1/2"] * 11)),
     ("gl2|1", "1,0|0"),
     ("gl2|2", "1,0|0,0"),
+    # dim 1: no ladder entries and every off-diagonal generator empty
+    ("gl3", "0,0,0"),
+    # dim 280, the largest export the benchmark draws: 6 844 triplets whose
+    # 4 120 commutator-built floats hold 439 distinct values
+    ("gl5", "3,2,1,0,0"),
 ]
 
 
@@ -407,6 +412,17 @@ def test_rep_export_is_byte_identical_to_reference(capsys, algebra, text, fmt):
 def test_gl12_export_weight_takes_the_python_int_path():
     rep = Representation((Fraction(3, 2),) + (Fraction(-1, 2),) * 11)
     assert any(nums.dtype == object for _, _, nums, _ in rep._ladders.values())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rep_export_makes_no_dense_matrix(capsys, monkeypatch, fmt):
+    def refuse(self, i, j):
+        raise AssertionError(f"the export read a dense a_{i}_{j}")
+
+    monkeypatch.setattr(Representation, "gen", refuse)
+    code, out, _ = run(capsys, "rep", "--algebra", "gl4", "--weight=2,1,-1,-3", "--format", fmt)
+    assert code == 0
+    assert ("nonelementary" if fmt == "json" else "a_1_3,") in out
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

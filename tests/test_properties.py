@@ -2,7 +2,10 @@
 multiple of the identity.  Derandomized, so every run draws the same
 examples."""
 
+import contextlib
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charid.superglmn
+from charid.cli import main
 from charid.charident import (
     KIND_A, KIND_ABAR, alpha_bar_roots, alpha_roots, build_char_matrix, build_projector,
     char_roots)
@@ -248,3 +252,30 @@ def test_graded_relations_hold_and_break_on_one_moved_entry(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(charid.superglmn, "vector_rep", moved)
         assert not vector_rep_relations_hold(m, n)
+
+
+def _export(labels, fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["rep", "--algebra", f"gl{len(labels)}",
+                     "--weight=" + ",".join(map(str, labels)), "--format", fmt])
+    assert code == 0
+    return out.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(shifted_weights())
+def test_json_and_csv_exports_carry_the_same_triplets(case):
+    """Labels shifted by c in -5..5, or by c + 1/2, so negative and
+    half-integer diagonal entries appear; decimals compare as their %.17g
+    text."""
+    lam, c = case
+    labels = tuple(x + c for x in lam)
+    payload = json.loads(_export(labels, "json"))
+    from_json = [(gen["name"], row, col, value if isinstance(value, str) else "%.17g" % value)
+                 for gen in payload["generators"] for row, col, value in gen["triplets"]]
+    header, *lines = _export(labels, "csv").splitlines()
+    assert header == "generator,row,col,value"
+    from_csv = [(name, int(row), int(col), value)
+                for name, row, col, value in (line.split(",") for line in lines)]
+    assert from_csv == from_json
