@@ -391,7 +391,9 @@ class Representation:
     def _store(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                values: np.ndarray):
         """Store the generators: entry e is (rows[e], cols[e]) = values[e]
-        of generator g[e]; values are nonzero, no position comes twice."""
+        of generator g[e]; no position comes twice.  An entry is stored
+        where the exact matrix element is nonzero, so its float may be 0.0
+        (a diagonal label below the float64 range)."""
         d = self.dim
         order = np.argsort((g * d + rows) * d + cols)
         self.entries = Triplets(freeze(rows[order]), freeze(cols[order]), freeze(values[order]))
@@ -401,10 +403,13 @@ class Representation:
     def _build(self):
         table, d, N = self.table, self.dim, self.N
         starts = row_starts(N)
-        # a_kk acts by the pattern weights; each value goes through float()
-        # once.
-        diagonals = table_labels(self.weight, table_weights(table, N), float)
-        k, basis = np.nonzero(diagonals.T)
+        # a_kk acts by the pattern weights lam_N + offset.  An entry is
+        # stored where that exact label is nonzero, with the label's float,
+        # which is 0.0 for a label too small for float64; each distinct
+        # label goes through bool() and float() once.
+        weights = table_weights(table, N)
+        diagonals = table_labels(self.weight, weights, float)
+        k, basis = np.nonzero(table_labels(self.weight, weights, bool).T)
         parts = [(k * (N + 1), basis, basis, diagonals[basis, k])]
         # The generators a_{i,i+size} of one size are the diagonal blocks
         # i - 1 of one block-diagonal matrix: the elementary ones (size 1)

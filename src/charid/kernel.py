@@ -207,16 +207,17 @@ def offsets(keys: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def join(keys: np.ndarray, starts: np.ndarray, first: np.ndarray | None = None):
+def join(keys: np.ndarray, starts: np.ndarray, first: np.ndarray | None = None,
+         last: np.ndarray | None = None):
     """Every pair (i, t) of a probe i and a table entry t with the probe's
     key, for a table sorted by key with run starts `starts` (see offsets).
-    Given per-probe lower bounds `first`, probe i pairs only with the
-    entries first[i]:starts[keys[i] + 1], a tail of its key's run.
-    Returns (i, t) as two index arrays, i ascending, t ascending within
-    each i.  A sparse product joins one factor's columns with the other's
-    rows this way."""
+    Given per-probe bounds `first` and `last`, probe i pairs only with the
+    entries first[i]:last[i], a part of its key's run; each defaults to
+    that end of the run.  Returns (i, t) as two index arrays, i ascending,
+    t ascending within each i.  A sparse product joins one factor's
+    columns with the other's rows this way."""
     lo = starts[keys] if first is None else first
-    found = starts[keys + 1] - lo
+    found = (starts[keys + 1] if last is None else last) - lo
     probe = np.repeat(np.arange(len(keys)), found)
     at = np.repeat(lo + found - np.cumsum(found), found) + np.arange(len(probe))
     return probe, at

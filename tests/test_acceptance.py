@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charid.kernel import Tolerance, commutator, max_abs
+import charid.verify
+from charid.kernel import Tolerance, commutator, join, max_abs, offsets
 from charid.gtbasis import branch, dimension, format_weight, weight
 from charid.glrep import (
     Representation,
@@ -48,7 +49,7 @@ from charid.superglmn import (
     vector_rep_relations_hold,
 )
 from charid.cli import main as cli_main
-from charid.verify import run_suite
+from charid.verify import _transpose_closed, run_suite
 
 
 def dominant_sweep(n, top=3):
@@ -358,17 +359,68 @@ def dense_relations(rep, tol):
     return worst, tol.threshold(scale), pairs
 
 
+def unordered_pair_relations(rep, tol):
+    """Reference for the relations suite: the loop it ran before it took
+    one pair per transpose orbit, each unordered pair of generators joined
+    once as (g, h) with h > g, returning (residual, threshold).  Its
+    products are the suite's, summed in the same order, so both agree bit
+    for bit."""
+    N, d = rep.N, rep.dim
+    M = N * N
+    row, col, val = rep.entries
+    gen, start = rep.entry_gen, rep.entry_starts
+    gen_key = gen * d * d
+    by_row = np.argsort(row, kind="stable")
+    by_col = np.argsort(col, kind="stable")
+    table_key = np.concatenate(((gen_key + col)[by_row], (gen_key + row * d)[by_col]))
+    table_val = np.concatenate((val[by_row], val[by_col]))
+    first = offsets(np.concatenate((row * M + gen, (col + d) * M + gen)), 2 * d * M)
+    table_start = first[::M]
+    key = gen_key + row * d + col
+    with_second = [np.flatnonzero(gen % N == j) for j in range(N)]
+    worst = scale = 0.0
+    for g in range(M - 1):
+        i, j = divmod(g, N)
+        own = slice(start[g], start[g + 1])
+        probe = np.concatenate((col[own], row[own] + d))
+        src, at = join(probe, table_start, first[probe * M + g + 1])
+        left_key = np.concatenate((row[own] * d, col[own]))
+        left_val = np.concatenate((val[own], val[own]))
+        lowest = min(max(g + 1 - (j - i) * N, i * N), (i + 1) * N)
+        plus = slice(start[lowest], start[(i + 1) * N])
+        minus = with_second[j]
+        minus = minus[np.searchsorted(gen[minus], g + 1 + j - i):]
+        keys = np.concatenate((table_key[at] + left_key[src],
+                               key[plus] + (j - i) * N * d * d,
+                               key[minus] + (i - j) * d * d))
+        vals = np.concatenate((table_val[at] * left_val[src], val[plus], -val[minus]))
+        n_ab = int(np.searchsorted(src, start[g + 1] - start[g]))
+        channel = np.repeat([0, 1, 2], [n_ab, len(src) - n_ab, len(keys) - len(src)])
+        entries, inverse = np.unique(keys, return_inverse=True)
+        size = len(entries)
+        sums = np.bincount(inverse + channel * size, weights=vals,
+                           minlength=3 * size).reshape(3, size)
+        sums[1] = sums[0] - sums[1]
+        sums[0] = sums[1] - sums[2]
+        residual, lhs_max, rhs_max = np.abs(sums).max(axis=1, initial=0.0)
+        worst = max(worst, residual)
+        scale = max(scale, lhs_max, rhs_max)
+    return float(worst), tol.threshold(float(scale))
+
+
 def _relations_check(rep, tol=Tolerance()):
     (check,) = run_suite("relations", rep=rep, tol=tol).checks
     return check
 
 
 def _assert_matches_dense(rep, tol=Tolerance()):
-    """Products are summed in another order than the dense matmul, so each
-    sum may differ in its last bit: the residual by at most 1e-15, and the
-    threshold, rel_eps = 1e-9 times a scale below 8 (ulp at most 8.9e-16),
-    by at most 8.9e-25."""
+    """The suite's residual and threshold equal those of the unordered-pair
+    loop bit for bit.  Products are summed in another order than the dense
+    matmul, so each sum may differ in its last bit: the residual by at most
+    1e-15, and the threshold, rel_eps = 1e-9 times a scale below 8 (ulp at
+    most 8.9e-16), by at most 8.9e-25."""
     check = _relations_check(rep, tol)
+    assert (check.residual, check.threshold) == unordered_pair_relations(rep, tol), rep.weight
     worst, threshold, pairs = dense_relations(rep, tol)
     assert abs(check.residual - worst) <= 1e-15, rep.weight
     assert abs(check.threshold - threshold) <= 1e-24, rep.weight
@@ -389,8 +441,13 @@ def _tampered_generators(N):
     """(i, j) of the generators the wrong-entry controls change: both ends
     of the diagonal, the elementary raising and lowering a_12 and a_21, and
     the non-elementary generators with the lowest and the highest index g =
-    (i-1)N + j-1.  The suite joins a_g only with the a_h after it, so a_NN
-    and the last non-elementary generator are mostly seen as partners."""
+    (i-1)N + j-1.  Every change of an off-diagonal generator breaks a_ji =
+    a_ij^T, and a_11 set at its first zero, (0, 1), holds an off-diagonal
+    entry: those reach the general path, which joins a_g with the a_h after
+    it, so a_NN and the last non-elementary generator are mostly seen as
+    partners.  a_11 and a_NN moved where nonzero, and a_NN set at its first
+    zero, (0, 0) where lam_N = 0, stay diagonal and reach the closed form
+    of the diagonal pairs."""
     return [(1, 1), (N, N), (1, 2), (2, 1), (1, 3), (N, N - 2)]
 
 
@@ -408,6 +465,62 @@ def test_relations_suite_fails_on_a_wrong_entry(where, replace_generator):
             replace_generator(rep, i, j, matrix)
             check = _assert_matches_dense(rep)
             assert not check.passed and check.residual > 1e-4, (lam, i, j, entry)
+
+
+def _transposed_changes(N):
+    """Wrong entries that keep every a_kk diagonal and each a_ji = a_ij^T:
+    (i, j, where) moves a_ij and a_ji by 1e-3 at the first nonzero or zero
+    entry of a_ij and its transposed position, and (k, k, position) one
+    diagonal entry of a_11 or a_NN."""
+    return ([(i, j, where) for i, j in [(1, 2), (1, 3), (2, N)] for where in ("nonzero", "zero")]
+            + [(k, k, position) for k in (1, N) for position in (0, -1)])
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 2, 1, 0)], ids=str)
+def test_relations_suite_fails_on_changes_that_keep_the_transposes(lam, replace_generator):
+    """Negative controls for the orbit path: each change keeps both facts
+    it rests on, so the suite still takes it, and must fail."""
+    for i, j, where in _transposed_changes(len(lam)):
+        rep = Representation(lam)
+        matrix = rep.gen(i, j).copy()
+        if i == j:
+            entry = (where % rep.dim,) * 2
+            matrix[entry] += 1e-3
+        else:
+            entry = tuple(np.argwhere((matrix != 0) == (where == "nonzero"))[0])
+            matrix[entry] += 1e-3
+            transposed = rep.gen(j, i).copy()
+            transposed[entry[::-1]] += 1e-3
+            replace_generator(rep, j, i, transposed)
+        replace_generator(rep, i, j, matrix)
+        assert _transpose_closed(rep), (lam, i, j, where)
+        check = _assert_matches_dense(rep)
+        assert not check.passed and check.residual > 1e-4, (lam, i, j, where)
+
+
+def test_built_modules_join_one_left_generator_per_transpose_orbit(monkeypatch,
+                                                                   replace_generator):
+    """A built module joins only its N(N-1)/2 upper generators as left
+    factors; one with a wrong entry in a_12 joins all N^2 - 1."""
+    calls = []
+
+    def counting_join(*args):
+        calls.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(charid.verify, "join", counting_join)
+    for lam in [(3,), (0, 0, 0), (2, 1, 0), (3, 2, 1, 0), (4, 3, 3, 3, 0)]:
+        N = len(lam)
+        rep = Representation(lam)
+        calls.clear()
+        assert _relations_check(rep).passed
+        assert len(calls) == N * (N - 1) // 2, lam
+    matrix = rep.gen(1, 2).copy()
+    matrix[0, 1] += 1e-3
+    replace_generator(rep, 1, 2, matrix)
+    calls.clear()
+    assert not _relations_check(rep).passed
+    assert len(calls) == N * N - 1
 
 
 @pytest.mark.parametrize("lam", [(0, 0, 0), (0,), (3,), (Fraction(-5, 2),)], ids=str)

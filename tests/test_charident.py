@@ -578,6 +578,46 @@ def test_blocks_from_triplets_equal_the_dense_split(lam):
                 assert np.all(np.bincount(rows[rows == cols], minlength=size - start) == 1)
 
 
+def _per_projector_checks(rep, tol):
+    """Reference for the projectors suite, as it ran before it batched
+    the projectors: one product per projector (pair) and block size, the
+    completeness sum over every projector, absent ones included, and the
+    ranks from Projector.rank.  Returns the suite's records as (residual,
+    threshold) or the exact verdict."""
+    out = []
+    for kind in (KIND_A, KIND_ABAR):
+        projectors = build_projectors(build_char_matrix(rep, kind), char_roots(rep.weight, kind))
+        present = [p.blocks.stacks for p in projectors if p.root.multiplicity > 0]
+        scale = max(p.blocks.max_abs() for p in projectors)
+        idem = max(max_abs(s @ s - s) for stacks in present for s in stacks)
+        ortho = 0.0
+        for a, b in itertools.combinations(present, 2):
+            ortho = max(ortho, *(max_abs(s @ t) for s, t in zip(a, b)))
+        completeness = 0.0
+        for stacks in zip(*(p.blocks.stacks for p in projectors)):
+            total = sum(stacks)
+            diag = np.arange(total.shape[-1])
+            total[:, diag, diag] -= 1.0
+            completeness = max(completeness, max_abs(total))
+        out += [(idem, tol.threshold(scale * scale)), (ortho, tol.threshold(scale * scale)),
+                (completeness, tol.threshold(scale)),
+                all(p.rank == p.root.multiplicity for p in projectors)]
+    return out
+
+
+# (4,3,2,1,0), dim 1024, has block sizes split into several batches of at
+# most BATCH_ENTRIES entries; (5,5,3,0) has an absent kind-A root.
+@pytest.mark.parametrize("lam", BLOCK_SWEEP + DENSE_VERIFY_SHAPES + [(4, 3, 2, 1, 0)], ids=str)
+def test_projector_suite_equals_the_per_projector_loop(lam):
+    """The batched checks give the loop's residuals and thresholds bit for
+    bit, and the same rank verdicts."""
+    rep = _sweep_rep(lam)
+    tol = Tolerance()
+    checks = run_suite("projectors", rep=rep, tol=tol).checks
+    assert [c.passed if c.exact else (c.residual, c.threshold) for c in checks] \
+        == _per_projector_checks(rep, tol)
+
+
 @pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if len(lam) >= 2]
                          + [(3, 2, 1, 0), (2, 2, 2, 2, 2, 0)], ids=str)
 def test_corner_residual_equals_the_window_residual(lam):

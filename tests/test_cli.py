@@ -392,6 +392,10 @@ EXPORTS = [
     ("gl2|2", "1,0|0,0"),
     # dim 1: no ladder entries and every off-diagonal generator empty
     ("gl3", "0,0,0"),
+    # nonzero labels whose floats are 0.0: each diagonal entry is still
+    # stored and written with its exact label
+    ("gl1", "1e-400"),
+    ("gl2", "1e-400,1e-400"),
     # dim 280, the largest export the benchmark draws: 6 844 triplets whose
     # 4 120 commutator-built floats hold 439 distinct values
     ("gl5", "3,2,1,0,0"),
@@ -407,6 +411,23 @@ def test_rep_export_is_byte_identical_to_reference(capsys, algebra, text, fmt):
     code, out, _ = run(capsys, "rep", "--algebra", algebra, f"--weight={text}", "--format", fmt)
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("suite", ["relations", "identity"])
+def test_label_below_float64_keeps_its_diagonal_entry(capsys, suite):
+    """The entry of a_11 exists where its exact label is nonzero, even
+    where that label's float is 0.0; both exports write the label and the
+    checks pass on the module."""
+    label = "1/1" + "0" * 400
+    rep = Representation((Fraction(label),))
+    rows, cols, values = rep.triplets(1, 1)
+    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0], [0], [0.0])
+    for fmt, line in (("json", f'"triplets": [[0, 0, "{label}"]]'),
+                      ("csv", f"a_1_1,0,0,{label}")):
+        code, out, _ = run(capsys, "rep", "--algebra", "gl1", "--weight=1e-400", "--format", fmt)
+        assert code == 0 and line in out
+    code, out, _ = run(capsys, "verify", "--algebra", "gl1", "--weight=1e-400", "--suite", suite)
+    assert code == 0 and json.loads(out)["summary"]["overall"] is True
 
 
 def test_gl12_export_weight_takes_the_python_int_path():

@@ -72,8 +72,10 @@ def test_shift_by_identity_keeps_relations(case):
 @PROPERTY_SETTINGS
 @given(shifted_weights())
 def test_relations_suite_matches_the_dense_loop(case):
-    """The suite forms each unordered generator pair once; its residual and
-    threshold still match the dense loop over all N^4 ordered pairs."""
+    """The suite joins one off-diagonal pair per transpose orbit and takes
+    the diagonal pairs in closed form; its residual and threshold equal
+    the unordered-pair loop's bit for bit and still match the dense loop
+    over all N^4 ordered pairs."""
     lam, c = case
     assert _assert_matches_dense(Representation(tuple(x + c for x in lam))).passed
 
