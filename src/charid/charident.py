@@ -199,7 +199,7 @@ class Blocks:
         return float(sum(np.trace(s, axis1=1, axis2=2).sum() for s in self.stacks))
 
     def max_abs(self) -> float:
-        return max((max_abs(s) for s in self.stacks), default=0.0)
+        return max_abs([max_abs(s) for s in self.stacks])
 
 
 @dataclass(frozen=True)
@@ -236,15 +236,6 @@ class CheckRecord:
     residual: float | None = None
     threshold: float | None = None
     exact: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "kind": "exact" if self.exact else "residual",
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def vector_weight(n: int) -> Weight:
@@ -436,7 +427,7 @@ def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = Fals
     """
     quotients = None if target is None else [target - node for node in nodes]
     nodes = [node if isinstance(node, np.ndarray) else float(node) for node in nodes]
-    parts, scale = [], 0.0
+    parts, scales = [], []
     for index, stack in zip(blocks.index, blocks.stacks):
         b = stack.shape[-1]
         factor = np.empty(stack.shape)
@@ -446,7 +437,7 @@ def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = Fals
             np.copyto(factor, stack)
             factor_diagonal -= node[index] if isinstance(node, np.ndarray) else node
             if with_scale:
-                scale = max(scale, max_abs(factor))
+                scales.append(max_abs(factor))
             if product is None:
                 product, spare = factor.copy(), np.empty(stack.shape)
             else:
@@ -459,7 +450,7 @@ def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = Fals
         parts.append(product)
         del factor, factor_diagonal, spare  # freed before the next stack's buffers
     product = blocks.like(parts)
-    return (product, scale) if with_scale else product
+    return (product, max_abs(scales)) if with_scale else product
 
 
 def identity_residual(blocks: Blocks, values, tol: Tolerance) -> tuple[float, float]:
@@ -499,7 +490,7 @@ def verify_identity(cm: CharMatrix, spectrum, tol: Tolerance | None = None
         square = _blocked_product(a, [0, 0])
         form = _blocked_product(a.like(q - float(sigma1 + 1) * s
                                        for q, s in zip(square.stacks, a.stacks)), [-const])
-        scale = max(square.max_abs(), a.max_abs())
+        scale = max_abs([square.max_abs(), a.max_abs()])
         name = "rank-2 closed form: A^2 - (sigma1+1) A + (sigma1^2+sigma1-sigma2)/2"
     res, thr = form.max_abs(), tol.threshold(scale)
     reports.append(CheckRecord(name, res <= thr, res, thr))

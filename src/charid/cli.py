@@ -142,8 +142,7 @@ _CHECK_JSON = ('{"description": %s, "kind": "%s", "residual": %s, "threshold": %
 
 
 def _checks_json(checks) -> _Raw:
-    """The verify report's check records (CheckRecord.to_dict), each written
-    with one format."""
+    """The verify report's check records, each written with one format."""
     return _Raw("[" + ", ".join(
         _CHECK_JSON % (json.dumps(c.description), "exact" if c.exact else "residual",
                        "null" if c.residual is None else _float_json(c.residual),
@@ -294,9 +293,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = run_suite(args.suite, rep=Representation(parsed), tol=tol)
     payload = {"schema": SCHEMA_VERSION, "command": "verify", "algebra": args.algebra,
                "weight": args.weight, "suite": args.suite,
-               "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}}
+               "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
+               "checks": _checks_json(report.checks)}
     payload.update(report.to_dict())
-    payload["checks"] = _checks_json(report.checks)
     _write_output(render_json(payload), args.output)
     return 0 if report.passed else 1
 
@@ -380,8 +379,9 @@ def main(argv=None) -> int:
     handlers = {"rep": cmd_rep, "verify": cmd_verify, "roots": cmd_roots,
                 "classify": cmd_classify}
     try:
-        return handlers[args.command](args)
-    except (ValueError, OSError, MemoryError) as exc:
+        with np.errstate(all="ignore"):  # no warnings: a non-finite residual exits 2
+            return handlers[args.command](args)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

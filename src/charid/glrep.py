@@ -463,14 +463,15 @@ class Representation:
         return rows, cols, np.sqrt(values)
 
 
-def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
+def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> Triplets:
     """|<pattern + sum of shifts| a_{l,n+1} |pattern>| for every basis
-    pattern and shift combination, as a dim x dim matrix, from the product
-    form of nonelementary_coefficient.
+    pattern and shift combination, as the Triplets of a dim x dim matrix,
+    from the product form of nonelementary_coefficient.
 
     Every combination (i_n, ..., i_l) raises one label per level; all of
     them are applied to the whole table at once, and each level's factors
     are those of _ladder_factors on the patterns that stay in the lattice.
+    No position comes twice: distinct combinations reach distinct targets.
     """
     if not 1 <= l <= n < rep.N:
         raise DomainError(f"need 1 <= l <= n < {rep.N}, got l={l} n={n}")
@@ -501,9 +502,9 @@ def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> np.ndarray:
         nonelementary_coefficient(pattern, l, n, shifts[bad[0]] + 1)
         raise ConsistencyError(
             f"batched a_{l},{n + 1} coefficient disagrees with the scalar form on {pattern.rows}")
-    out = np.zeros((rep.dim, rep.dim))
-    out[rows, cols] = np.sqrt(values)
-    return out
+    keep = np.flatnonzero(values)
+    order = keep[np.argsort(rows[keep] * rep.dim + cols[keep])]
+    return Triplets(rows[order], cols[order], np.sqrt(values[order]))
 
 
 def gl_block_entries(rep: Representation, kind: str = "A", level: int | None = None

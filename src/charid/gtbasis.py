@@ -189,6 +189,8 @@ def pattern_table(lam) -> np.ndarray:
     """
     lam = check_highest_weight(lam)
     n = len(lam)
+    if lam[0] - lam[-1] >= 2 ** 63:
+        raise DomainError(f"label offsets of {format_weight(lam)} do not fit int64")
     table = np.array([[int(x - lam[-1]) for x in lam]], dtype=np.int64)
     for m in range(n, 1, -1):  # the row of length m - 1 under the last row
         upper = table.shape[1] - m

@@ -141,11 +141,13 @@ class Tolerance:
         return self.abs_eps + self.rel_eps * scale
 
     def is_zero(self, m, *reference) -> bool:
-        scale = max((max_abs(x) for x in reference), default=max_abs(m))
+        scale = max_abs([max_abs(x) for x in reference or (m,)])
         return max_abs(m) <= self.threshold(scale)
 
 
 def max_abs(m) -> float:
+    """The largest |entry| of m, 0.0 if it is empty.  A NaN entry makes it
+    NaN, so every fold of partial maxima goes through here."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0

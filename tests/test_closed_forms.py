@@ -44,8 +44,10 @@ def _assert_matches_reference(lam):
     rep = Representation(lam)
     for l in range(1, rep.N - 1):
         for n in range(l + 1, rep.N):
-            assert np.array_equal(nonelementary_magnitudes(rep, l, n),
-                                  _reference_magnitudes(rep, l, n)), (lam, l, n)
+            rows, cols, values = nonelementary_magnitudes(rep, l, n)
+            batched = np.zeros((rep.dim, rep.dim))
+            batched[rows, cols] = values
+            assert np.array_equal(batched, _reference_magnitudes(rep, l, n)), (lam, l, n)
     nums, dens = elementary_square_table(rep)
     for r in range(1, rep.N):
         batched = [Fraction(int(p), int(q)) for p, q in zip(nums[:, r - 1], dens[:, r - 1])]
@@ -62,6 +64,21 @@ def test_closed_forms_match_scalar_reference_on_the_sweep(shift):
 @pytest.mark.parametrize("lam", LARGER, ids=str)
 def test_closed_forms_match_scalar_reference_on_gl5_gl6(lam):
     _assert_matches_reference(tuple(x + Fraction(1, 2) for x in lam))
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 1, 1, 0), (2, 2, 1, 0, 0), (2, 1, 0, 0, 0, 0)],
+                         ids=str)
+def test_magnitudes_hold_each_position_once_row_major(lam):
+    """Each shift combination raises one label per level, so distinct
+    combinations reach distinct targets: melcross may then sum +|actual|
+    and -expected per position and read the dense difference."""
+    rep = Representation(lam)
+    for l in range(1, rep.N - 1):
+        for n in range(l + 1, rep.N):
+            rows, cols, values = nonelementary_magnitudes(rep, l, n)
+            keys = rows * rep.dim + cols
+            assert len(keys) and np.all(np.diff(keys) > 0), (lam, l, n)
+            assert np.all(values > 0), (lam, l, n)
 
 
 def _check(report, prefix):
