@@ -249,11 +249,22 @@ def _gl_basis(rep: Representation) -> _Raw:
     return _Raw("[" + ", ".join(entry % (i, *row) for i, row in enumerate(labels.tolist())) + "]")
 
 
+@functools.lru_cache(maxsize=8)
+def _module(build, labels) -> Representation:
+    """build(labels), kept for the 8 most recent keys, so that one process
+    that runs several jobs on one weight builds its module once.  The key
+    holds the constructor as looked up at the call, so a replaced
+    Representation is never served a module built by another; a
+    constructor that raises is not cached.  A built module's arrays are
+    read-only, so no job can change what a later one reads."""
+    return build(labels)
+
+
 def cmd_rep(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
-        rep = Representation(parsed)
+        rep = _module(Representation, parsed)
         labels, dim, table = rep.weight, rep.dim, _gl_table(rep)
     else:
         if parsed != super_vector_weight(*sizes):
@@ -290,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if family != "gl":
             raise DomainError(f"suite {args.suite} needs a gl(n) algebra")
-        report = run_suite(args.suite, rep=Representation(parsed), tol=tol)
+        report = run_suite(args.suite, rep=_module(Representation, parsed), tol=tol)
     payload = {"schema": SCHEMA_VERSION, "command": "verify", "algebra": args.algebra,
                "weight": args.weight, "suite": args.suite,
                "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},

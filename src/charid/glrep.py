@@ -311,9 +311,12 @@ def sparse_commutator(a: Triplets, b: Triplets, d: int) -> Triplets:
 class Representation:
     """All generator matrices of one irreducible gl(N) module.
 
-    Immutable after construction.  The basis is held as `table`, the int64
-    pattern table (gtbasis.pattern_table).  The nonzero entries of all N^2
-    generators are stored once, in one frozen Triplets table `entries`:
+    Immutable after construction: every array it holds (`table`,
+    `entries`, `entry_gen`, `entry_starts` and the ladder squares) is
+    read-only, so one module can be shared by any number of checks.  The
+    basis is held as `table`, the int64 pattern table
+    (gtbasis.pattern_table).  The nonzero entries of all N^2
+    generators are stored once, in one Triplets table `entries`:
     generator a_ij is g = (i-1)N + j-1, entry_gen holds g for each entry,
     its entries are entry_starts[g]:entry_starts[g+1], row-major, and
     `triplets(i, j)` is that slice.  `gen(i, j)` scatters a fresh dense
@@ -327,7 +330,7 @@ class Representation:
     def __init__(self, labels):
         self.weight: Weight = check_highest_weight(weight(labels))
         self.N = len(self.weight)
-        self.table = pattern_table(self.weight)
+        self.table = freeze(pattern_table(self.weight))
         self.dim = len(self.table)
         # k -> (rows, cols, numerators, denominators) of a_{k,k+1}'s squared
         # entries, in basis order.
@@ -347,7 +350,10 @@ class Representation:
         """Ordinal of each table row, keyed by the row as a tuple of ints,
         made on first use.  The build drops its own copy when it ends: held
         through dense verify jobs, it made their peak RSS read ~4 MB higher
-        (huge pages kept resident) in most benchmark runs."""
+        (huge pages kept resident) in most benchmark runs.  Once made it
+        stays with the module, also while the CLI keeps that module for
+        later jobs (cli._module); only the suites that move patterns
+        (invariants, melcross) make it."""
         return _row_index(self.table)
 
     @cached_property
@@ -398,7 +404,7 @@ class Representation:
         order = np.argsort((g * d + rows) * d + cols)
         self.entries = Triplets(freeze(rows[order]), freeze(cols[order]), freeze(values[order]))
         self.entry_gen = freeze(g[order])
-        self.entry_starts = offsets(self.entry_gen, self.N * self.N)
+        self.entry_starts = freeze(offsets(self.entry_gen, self.N * self.N))
 
     def _build(self):
         table, d, N = self.table, self.dim, self.N
@@ -459,7 +465,7 @@ class Representation:
         targets = table[cols]
         targets[np.arange(len(cols)), starts[k] + r] += 1
         rows = np.array([index[row] for row in map(tuple, targets.tolist())], dtype=np.intp)
-        self._ladders[k] = (rows, cols, nums, dens)
+        self._ladders[k] = tuple(map(freeze, (rows, cols, nums, dens)))
         return rows, cols, np.sqrt(values)
 
 

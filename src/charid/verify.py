@@ -516,7 +516,8 @@ def run_suite(name: str, *, rep: Representation | None = None,
               super_mn: tuple[int, int] | None = None,
               super_weight: SuperWeight | None = None,
               tol: Tolerance | None = None) -> VerificationReport:
-    """Dispatch one named suite and stamp its wall-clock duration."""
+    """Dispatch one named suite and stamp its wall-clock duration.  A gl(n)
+    suite on labels whose magnitude plus N - 1 reaches 2^52 is refused."""
     tol = tol or Tolerance()
     start = time.perf_counter()
     if name == "super":
@@ -528,6 +529,13 @@ def run_suite(name: str, *, rep: Representation | None = None,
             raise DomainError(f"suite {name!r} needs a gl(n) representation")
         if name not in SUITE_NAMES:
             raise DomainError(f"unknown suite {name!r}")
+        # Every pattern weight lies in [lam_N, lam_1] and every root is
+        # lam_j + N - j, so this bounds each label, diagonal entry and root.
+        # From 2^52 on float64 drops halves and then units, and the float
+        # checks would judge a module other than the exact one.
+        if max(map(abs, rep.weight)) + rep.N - 1 >= 2 ** 52:
+            raise DomainError(f"suite {name} on gl({rep.N}): a label or characteristic "
+                              f"root reaches 2^52, beyond exact float64 checks")
         # suite_<name> is looked up when it runs, so that a suite replaced on
         # this module after import (perfbench/spans.py wraps them) is the one run.
         report = globals()[f"suite_{name}"](rep, tol)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+import charid.cli
 from charid.kernel import Triplets
+
+
+@pytest.fixture(autouse=True)
+def fresh_modules():
+    """Each test starts with no module kept by charid.cli.main, so a test
+    that watches the build is not served a module an earlier test built."""
+    charid.cli._module.cache_clear()
 
 
 def _replace_generator(rep, i, j, matrix):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import os
 import subprocess
 import sys
@@ -413,7 +414,7 @@ def test_rep_export_is_byte_identical_to_reference(capsys, algebra, text, fmt):
     assert out == expected
 
 
-@pytest.mark.parametrize("suite", ["relations", "identity"])
+@pytest.mark.parametrize("suite", ["relations", "identity", "projectors"])
 def test_label_below_float64_keeps_its_diagonal_entry(capsys, suite):
     """The entry of a_11 exists where its exact label is nonzero, even
     where that label's float is 0.0; both exports write the label and the
@@ -510,3 +511,125 @@ def test_main_reuses_its_parser_across_commands(capsys):
     assert charid.cli.build_parser.cache_info().misses == 1
     assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 2, 0]
     assert reused == fresh
+
+
+GL_SUITES = ("relations", "identity", "projectors", "invariants", "melcross")
+_DURATION = re.compile(r'"duration_ms": [^,}]*')
+
+
+def masked(capsys, *argv):
+    """run(), with the verify report's duration_ms written as 0."""
+    code, out, err = run(capsys, *argv)
+    return code, _DURATION.sub('"duration_ms": 0', out), err
+
+
+def weight_jobs(algebra, weight):
+    """The five gl suites and both exports of one weight."""
+    common = ("--algebra", algebra, f"--weight={weight}")
+    return ([("verify", *common, "--suite", suite) for suite in GL_SUITES]
+            + [("rep", *common, "--format", fmt) for fmt in ("json", "csv")])
+
+
+def test_kept_modules_print_what_fresh_builds_print(capsys):
+    """Jobs on two weights, interleaved and run twice in one process, build
+    each module once and print what they print on a module built for the
+    job alone."""
+    first, second = weight_jobs("gl4", "5,5,3,0"), weight_jobs("gl5", "3,3,2,1,0")
+    jobs = [job for pair in zip(first, second) for job in pair]
+    fresh = []
+    for argv in jobs:
+        charid.cli._module.cache_clear()
+        fresh.append(masked(capsys, *argv))
+    charid.cli._module.cache_clear()
+    kept = [masked(capsys, *argv) for argv in jobs * 2]
+    assert charid.cli._module.cache_info().misses == 2
+    assert [code for code, _, _ in fresh] == [0] * len(jobs)
+    assert kept == fresh * 2
+
+
+def _with_nan_in_a12(replace_generator):
+    def build(labels):
+        rep = Representation(labels)
+        matrix = rep.gen(1, 2).copy()
+        matrix[tuple(np.argwhere(matrix)[0])] = np.nan
+        replace_generator(rep, 1, 2, matrix)
+        return rep
+    return build
+
+
+def test_a_replaced_constructor_is_honoured_for_a_kept_weight(capsys, monkeypatch,
+                                                               replace_generator):
+    argv = ("verify", "--algebra", "gl3", "--weight=2,1,0", "--suite", "relations")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(charid.cli, "Representation", _with_nan_in_a12(replace_generator))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "not finite" in err and err.count("\n") == 1
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_a_constructor_that_raises_is_called_again(capsys, monkeypatch):
+    calls = []
+
+    def too_large(labels):
+        calls.append(labels)
+        raise MemoryError("Unable to allocate 1.5 GiB")
+
+    monkeypatch.setattr(charid.cli, "Representation", too_large)
+    for _ in range(2):
+        code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight", "2,1,0",
+                             "--suite", "identity")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+    assert len(calls) == 2
+
+
+def test_one_build_per_weight_until_eight_others_are_built(capsys, monkeypatch):
+    builds = []
+
+    def counting(labels):
+        builds.append(labels)
+        return Representation(labels)
+
+    monkeypatch.setattr(charid.cli, "Representation", counting)
+    for suite in GL_SUITES:
+        assert run(capsys, "verify", "--algebra", "gl3", "--weight=2,1,0", "--suite", suite)[0] == 0
+    assert len(builds) == 1
+    for top in range(3, 11):
+        assert run(capsys, "rep", "--algebra", "gl3", f"--weight={top},0,0")[0] == 0
+    assert len(builds) == 9
+    assert run(capsys, "rep", "--algebra", "gl3", "--weight=2,1,0")[0] == 0
+    assert len(builds) == 10 and builds[-1] == builds[0]
+
+
+def _arrays(value):
+    """Every ndarray held by value, through tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+def _bits(rep):
+    """entries, table and _ladders, each array as its dtype, shape and
+    bytes (its items, for an object array)."""
+    return [(a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes())
+            for a in _arrays((rep.entries, rep.table, rep._ladders))]
+
+
+def test_a_kept_module_is_read_only_and_unchanged_by_every_job(capsys):
+    charid.cli._module.cache_clear()
+    jobs = weight_jobs("gl4", "3,2,1,0")
+    assert run(capsys, *jobs[0])[0] == 0
+    rep = charid.cli._module(Representation, parse_weight("3,2,1,0", "gl", (4,)))
+    assert charid.cli._module.cache_info().hits == 1
+    before = _bits(rep)
+    assert [run(capsys, *argv)[0] for argv in jobs] == [0] * len(jobs)
+    assert charid.cli._module.cache_info().misses == 1
+    arrays = list(_arrays(vars(rep)))
+    assert len(arrays) >= 12 and not any(a.flags.writeable for a in arrays)
+    assert _bits(rep) == before

@@ -96,9 +96,9 @@ def test_a_nan_in_a_later_stack_survives_the_fold():
     ("verify", "--algebra", "gl3", "--weight=1e30,0,0", "--suite", "relations"),
 ], ids=" ".join)
 def test_overflowing_and_oversized_jobs_exit_2_with_one_line(argv, capsys):
-    """The relations products of 1e200 labels overflow (inf - inf = NaN);
-    the rank-2 closed form's constant does not fit a float; the offset
-    1e30 does not fit the int64 pattern table."""
+    """Labels of 1e200 pass 2^52 (their relations products would also
+    overflow, inf - inf = NaN); the offset 1e30 does not fit the int64
+    pattern table."""
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -139,3 +139,73 @@ def test_extreme_labels_never_crash(argv):
         assert code in (0, 1) and err.getvalue() == ""
         if argv[-1] != "csv":
             json.loads(out.getvalue())
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gl2", "100000000000000000001,100000000000000000000", "relations"),
+    ("gl2", "100000000000000000001,100000000000000000000", "projectors"),
+    ("gl2", "9007199254740991/2,9007199254740989/2", "identity"),
+    ("gl2", "9007199254740991/2,9007199254740989/2", "projectors"),
+    ("gl2", "1e200,1e200", "projectors"),
+    ("gl2", "1e200,1e200", "invariants"),
+], ids=" ".join)
+def test_labels_past_2_52_are_refused_by_the_float_checks(argv):
+    """Float64 holds 10^20 + 1 and 10^20 as one value, and 2^52 + 1/2 as
+    2^52, so the checks would fail these exact modules (exit 1); on the
+    dim-1 module of (1e200,1e200) they would pass with every residual 0."""
+    algebra, weight, suite = argv
+    code, out, err = _run(["verify", "--algebra", algebra, f"--weight={weight}",
+                           "--suite", suite])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2^52" in err and err.count("\n") == 1, err
+
+
+def _staircase(n, top):
+    return ",".join(str(top - j) for j in range(n))
+
+
+# The largest top labels L of the staircases (L, L-1, ..., L-N+1) that the
+# gl(N) suites accept, found by bisection on L: L + N - 1 is 2^52 - 1 for
+# integer labels and 2^52 - 1/2 for half-integers.
+LARGEST_ACCEPTED = [(2, 4503599627370494), (2, Fraction(9007199254740989, 2)),
+                    (3, 4503599627370493), (3, Fraction(9007199254740987, 2)),
+                    (4, 4503599627370492), (4, Fraction(9007199254740985, 2))]
+# The relations threshold scales with the largest |lhs| and |rhs| entry,
+# not with the products a_kk a_h whose difference lhs is: from top labels
+# near 2^24 on, the rounding of those products in irrational entries of
+# gl(3) and gl(4) staircases exceeds it.
+_RELATIONS_SCALE = pytest.mark.xfail(
+    strict=True, reason="relations threshold ignores the cancelled products' scale")
+
+
+@pytest.mark.parametrize("n, top, suite", [
+    pytest.param(n, top, suite, marks=[_RELATIONS_SCALE] if suite == "relations" and n > 2 else [])
+    for n, top in LARGEST_ACCEPTED for suite in GL_SUITES if suite != "melcross" or n > 2
+], ids=str)
+def test_the_largest_accepted_labels_pass_every_suite(n, top, suite):
+    assert max(abs(Fraction(top)), abs(Fraction(top) - n + 1)) + n - 1 < 2 ** 52
+    code, out, err = _run(["verify", "--algebra", f"gl{n}",
+                           f"--weight={_staircase(n, top)}", "--suite", suite])
+    assert (code, err) == (0, ""), out
+    assert json.loads(out)["summary"]["overall"] is True
+
+
+@pytest.mark.parametrize("n, top", LARGEST_ACCEPTED, ids=str)
+def test_one_step_past_the_largest_accepted_labels_is_refused(n, top):
+    weight = f"--weight={_staircase(n, top + 1)}"
+    for suite in GL_SUITES:
+        code, out, err = _run(["verify", "--algebra", f"gl{n}", weight, "--suite", suite])
+        assert (code, out) == (2, "") and "2^52" in err, suite
+    # rep and roots are exact, so they take any label.
+    for argv in (["rep", "--algebra", f"gl{n}", weight, "--format", "csv"],
+                 ["roots", "--algebra", f"gl{n}", weight]):
+        code, _, err = _run(argv)
+        assert (code, err) == (0, ""), argv
+
