@@ -4,7 +4,6 @@ spectral projectors, branching invariants and star classification."""
 
 from .kernel import (
     ConsistencyError,
-    ConventionError,
     DegeneratePatternError,
     DegenerateRootError,
     DimensionError,
@@ -60,7 +59,6 @@ from .charident import (
 from .superglmn import (
     StarClassification,
     SuperWeight,
-    calibrate_convention,
     classify_type1_star,
     compose_type1_weight,
     parity,

@@ -32,7 +32,7 @@ from .superglmn import (
     super_vector_weight,
     vector_rep,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, check_job, run_suite
 
 SCHEMA_VERSION = 1
 _ALGEBRA_RE = re.compile(r"^gl(\d+)(?:\|(\d+))?$")
@@ -212,12 +212,11 @@ def _gl_table(rep: Representation) -> _Table:
 
 
 def _super_table(m: int, n: int) -> _Table:
-    gens = vector_rep(m, n)
-    keys = sorted(gens)
-    mats = np.array([gens[key] for key in keys])
+    size = m + n
+    mats = vector_rep(m, n).reshape(size * size, size, size)  # a_pq at (p-1)s + q-1
     g, rows, cols = np.nonzero(mats)
-    return _Table([(f"a_{p}_{q}", "vector") for p, q in keys], offsets(g, len(keys)),
-                  rows, cols, *_distinct(mats[g, rows, cols]))
+    names = [(f"a_{p + 1}_{q + 1}", "vector") for p, q in np.ndindex(size, size)]
+    return _Table(names, offsets(g, len(mats)), rows, cols, *_distinct(mats[g, rows, cols]))
 
 
 def _pieces(table: _Table, dim: int, fmt: str) -> np.ndarray:
@@ -294,13 +293,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     tol = resolve_tolerance(args.tolerance)
-    if args.suite == "super":
-        if family != "glmn":
-            raise DomainError("suite super needs a gl(m|n) algebra")
-        report = run_suite("super", super_mn=sizes, super_weight=parsed, tol=tol)
+    # A job its suite cannot run is refused before its module is built.
+    check_job(args.suite, family, parsed if family == "gl" else parsed.labels())
+    if family == "glmn":
+        report = run_suite("super", super_weight=parsed, tol=tol)
     else:
-        if family != "gl":
-            raise DomainError(f"suite {args.suite} needs a gl(n) algebra")
         report = run_suite(args.suite, rep=_module(Representation, parsed), tol=tol)
     payload = {"schema": SCHEMA_VERSION, "command": "verify", "algebra": args.algebra,
                "weight": args.weight, "suite": args.suite,

@@ -125,9 +125,9 @@ class GTPattern:
             for i in range(self.size - 1)
         )
 
-    def shifted(self, k: int, r: int, step: int = 1) -> "GTPattern | None":
-        """Pattern with label (k, r) moved by step, or None if that leaves
-        the interlacing lattice."""
+    def shifted(self, k: int, r: int) -> "GTPattern | None":
+        """Pattern with label (k, r) raised by 1, or None if that leaves the
+        interlacing lattice (shifted_many takes other steps)."""
         if not 1 <= r <= k:
             raise DomainError(f"row index {r} outside 1..{k}")
         n = self.size
@@ -135,7 +135,7 @@ class GTPattern:
             raise DomainError(f"only levels 1..{n - 1} may shift (top row is fixed)")
         idx = n - k
         new_row = list(self.rows[idx])
-        new_row[r - 1] += step
+        new_row[r - 1] += 1
         rows = self.rows[:idx] + (tuple(new_row),) + self.rows[idx + 1:]
         if not rows_interlace(rows[idx - 1], rows[idx]):
             return None

@@ -41,10 +41,6 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a construction bug."""
 
 
-class ConventionError(RuntimeError):
-    """No candidate sign convention satisfies the calibration identities."""
-
-
 def to_rational(value) -> Fraction:
     """Coerce an int, Fraction or a string like '3/2' to an exact Fraction.
 
@@ -225,9 +221,10 @@ def join(keys: np.ndarray, starts: np.ndarray, first: np.ndarray | None = None,
     return probe, at
 
 
-def rationalize(x: float, tol: Tolerance, max_denominator: int = 10 ** 6) -> Fraction:
-    """Round a float to the nearest small-denominator rational, or fail loudly."""
-    r = Fraction(x).limit_denominator(max_denominator)
+def rationalize(x: float, tol: Tolerance) -> Fraction:
+    """Round a float to the nearest rational of denominator at most 10^6, or
+    fail loudly."""
+    r = Fraction(x).limit_denominator(10 ** 6)
     if abs(x - float(r)) > tol.threshold(abs(x)):
         raise ConsistencyError(f"{x!r} is not within tolerance of a small rational")
     return r

@@ -2,11 +2,10 @@
 relations, super characteristic matrices and roots, unitary (type 1 star)
 classification, and the covariant-plus-shift form of type 1 highest weights.
 
-The sign convention of the plain characteristic matrix was calibrated once,
-by demanding that the closed-form roots annihilate the vector representation
-across a grid of small (m, n); the winning convention (block (p,q) equal to
-(-1)^(p) a_pq, adjoint block (p,q) equal to -(-1)^((p)(q)) a_qp) is frozen
-below and the calibration sweep is kept for regression tests.
+Each kind's characteristic matrix follows one graded sign rule, the one
+under which the closed-form roots annihilate the vector representation of
+every gl(m|n): block (p,q) is (-1)^(p) a_pq for kind A and
+-(-1)^((p)(q)) a_qp for kind Abar, (p) the parity of the index p.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .kernel import (
-    ConventionError,
     DomainError,
     Tolerance,
     max_abs,  # unused here, kept as a name the benchmark's tracer wraps
@@ -83,21 +81,14 @@ def super_vector_weight(m: int, n: int) -> SuperWeight:
                        (Fraction(0),) * n)
 
 
-def vector_rep(m: int, n: int) -> dict[tuple[int, int], np.ndarray]:
-    """Defining representation a_pq -> e_pq on the graded space C^(m+n).
-
-    Integer matrices, so the graded bracket relations hold exactly.
-    """
+def vector_rep(m: int, n: int) -> np.ndarray:
+    """Defining representation a_pq -> e_pq on the graded space C^(m+n), as
+    one (s, s, s, s) int64 array, s = m + n, whose [p-1, q-1] is e_pq:
+    integer matrices, so the graded bracket relations hold exactly."""
     if m < 1 or n < 1:
         raise DomainError("need m >= 1 and n >= 1")
     size = m + n
-    out = {}
-    for p in range(1, size + 1):
-        for q in range(1, size + 1):
-            mat = np.zeros((size, size), dtype=np.int64)
-            mat[p - 1, q - 1] = 1
-            out[(p, q)] = mat
-    return out
+    return np.eye(size * size, dtype=np.int64).reshape((size,) * 4)
 
 
 def vector_rep_relations_hold(m: int, n: int) -> bool:
@@ -105,70 +96,40 @@ def vector_rep_relations_hold(m: int, n: int) -> bool:
     a_pq a_rs - sign a_rs a_pq = d_qr a_ps - sign d_ps a_rq, where sign is
     -1 when both a_pq and a_rs are odd.  All pairs at once, as integer
     einsums over the axes (p, q, r, s, row, col)."""
-    gens = vector_rep(m, n)
-    size = m + n
-    indices = range(1, size + 1)
-    a = np.array([[gens[(p, q)] for q in indices] for p in indices])
-    parities = np.array([parity(p, m) for p in indices])
+    a = vector_rep(m, n)
+    parities = np.array([parity(p, m) for p in range(1, m + n + 1)])
     grade = parities[:, None] + parities[None, :]  # (p) + (q) of a_pq
     odd_pair = grade[:, :, None, None] * grade[None, None, :, :] % 2
     sign = (1 - 2 * odd_pair)[..., None, None]
-    delta = np.eye(size, dtype=np.int64)
+    delta = np.eye(m + n, dtype=np.int64)
     lhs = np.einsum("pqik,rskj->pqrsij", a, a) - sign * np.einsum("rsik,pqkj->pqrsij", a, a)
     rhs = np.einsum("qr,psij->pqrsij", delta, a) - sign * np.einsum("ps,rqij->pqrsij", delta, a)
     return bool(np.array_equal(lhs, rhs))
 
 
-# Candidate block rules for the calibration sweep: sign(p, q) times the
-# generator a_pq (swap=False) or a_qp (swap=True) at block (p, q).
-_CANDIDATES = {
-    KIND_A: (
-        ("row-parity",        lambda p, q, m: (-1) ** parity(p, m), False),
-        ("minus-row-parity",  lambda p, q, m: -((-1) ** parity(p, m)), False),
-        ("col-parity",        lambda p, q, m: (-1) ** parity(q, m), False),
-        ("minus-col-parity",  lambda p, q, m: -((-1) ** parity(q, m)), False),
-        ("ungraded",          lambda p, q, m: 1, False),
-        ("minus-ungraded",    lambda p, q, m: -1, False),
-    ),
-    KIND_ABAR: (
-        ("minus-graded-swap", lambda p, q, m: -((-1) ** (parity(p, m) * parity(q, m))), True),
-        ("graded-swap",       lambda p, q, m: (-1) ** (parity(p, m) * parity(q, m)), True),
-        ("ungraded-swap",     lambda p, q, m: -1, True),
-        ("minus-row-parity-swap", lambda p, q, m: -((-1) ** parity(p, m)), True),
-    ),
-}
-
+# The sign rule of each kind, by the name its check description prints.
 FROZEN_CONVENTION = {KIND_A: "row-parity", KIND_ABAR: "minus-graded-swap"}
 
 
-def super_char_matrix(m: int, n: int, kind: str,
-                      convention: str | None = None) -> np.ndarray:
-    """Characteristic matrix of the gl(m|n) vector representation.
-
-    The frozen calibrated convention is used unless a named candidate is
-    requested (negative controls pass the ungraded ones).
-    """
-    return _super_blocks(m, n, kind, convention).dense()
+def super_char_matrix(m: int, n: int, kind: str) -> np.ndarray:
+    """Characteristic matrix of the gl(m|n) vector representation."""
+    return _super_blocks(m, n, kind).dense()
 
 
-def _super_blocks(m: int, n: int, kind: str, convention: str | None) -> Blocks:
-    """super_char_matrix as one whole block, scattered block by block from
-    the vector representation's generators."""
-    if kind not in _CANDIDATES:
-        raise DomainError(f"unknown kind {kind!r}")
-    name = convention or FROZEN_CONVENTION[kind]
-    table = {c[0]: c for c in _CANDIDATES[kind]}
-    if name not in table:
-        raise DomainError(f"unknown convention {name!r} for kind {kind}")
-    _, sign, swap = table[name]
-    gens = vector_rep(m, n)
+def _super_blocks(m: int, n: int, kind: str) -> Blocks:
+    """super_char_matrix as one whole block: the sign of each block (p, q)
+    times the vector representation's generators, reshaped so that block
+    (p, q) holds rows (p-1)s.. and columns (q-1)s.., s = m + n."""
     size = m + n
-    whole = np.zeros((1, size * size, size * size))
-    for p in range(1, size + 1):
-        for q in range(1, size + 1):
-            gen = gens[(q, p)] if swap else gens[(p, q)]
-            block = sign(p, q, m) * gen.astype(np.float64)
-            whole[0, (p - 1) * size:p * size, (q - 1) * size:q * size] = block
+    gens = vector_rep(m, n).astype(np.float64)
+    odd = np.arange(size) >= m  # (p) of p = 1 ... m + n
+    if kind == KIND_A:  # row-parity: (-1)^(p) a_pq
+        blocks = np.where(odd, -1.0, 1.0)[:, None, None, None] * gens
+    elif kind == KIND_ABAR:  # minus-graded-swap: -(-1)^((p)(q)) a_qp
+        blocks = np.where(np.outer(odd, odd), 1.0, -1.0)[:, :, None, None] * gens.swapaxes(0, 1)
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
+    whole = blocks.swapaxes(1, 2).reshape(1, size * size, size * size)
     return Blocks(size * size, (np.arange(size * size)[None, :],), (whole,))
 
 
@@ -194,48 +155,20 @@ def super_char_roots(lam: SuperWeight, kind: str) -> tuple[Root, ...]:
     return tuple(out)
 
 
-def verify_super_identity(m: int, n: int, kind: str,
-                          tol: Tolerance | None = None,
-                          convention: str | None = None) -> CheckRecord:
+def verify_super_identity(m: int, n: int, kind: str, tol: Tolerance) -> CheckRecord:
     """Residual of the super characteristic identity on the vector module.
 
     The product runs over the full root multiset in ascending order (the
     matrices are not diagonalizable in general, so repeated factors are
     essential).
     """
-    tol = tol or Tolerance()
-    lam = super_vector_weight(m, n)
-    roots = super_char_roots(lam, kind)
+    roots = super_char_roots(super_vector_weight(m, n), kind)
     residual, threshold = identity_residual(
-        _super_blocks(m, n, kind, convention), sorted(root.value for root in roots), tol)
-    label = convention or FROZEN_CONVENTION[kind]
+        _super_blocks(m, n, kind), sorted(root.value for root in roots), tol)
     return CheckRecord(
         f"super characteristic identity gl({m}|{n}), kind {kind}, "
-        f"convention {label}",
+        f"convention {FROZEN_CONVENTION[kind]}",
         residual <= threshold, residual, threshold)
-
-
-def calibrate_convention(kind: str, grid=((1, 1), (1, 2), (2, 1), (2, 2)),
-                         candidates=None, tol: Tolerance | None = None) -> str:
-    """First candidate convention whose identity annihilates on the whole
-    grid of vector representations.
-
-    Raises ConventionError with the observed spectra when none does.
-    """
-    tol = tol or Tolerance()
-    names = candidates or [c[0] for c in _CANDIDATES[kind]]
-    for name in names:
-        if all(verify_super_identity(m, n, kind, tol, convention=name).passed
-               for m, n in grid):
-            return name
-    spectra = {
-        f"gl({m}|{n})": sorted(np.linalg.eigvals(
-            super_char_matrix(m, n, kind, names[0])).real.round(6).tolist())
-        for m, n in grid
-    }
-    raise ConventionError(
-        f"no candidate convention annihilates for kind {kind}; "
-        f"observed spectra {spectra}")
 
 
 def classify_type1_star(lam: SuperWeight) -> StarClassification:

@@ -19,6 +19,7 @@ from .kernel import (
 )
 from .gtbasis import (
     branch,  # unused here, kept as a name the benchmark's tracer wraps
+    check_highest_weight,
     format_weight,
     row_starts,
 )
@@ -57,8 +58,35 @@ from .superglmn import (
     vector_rep_relations_hold,
 )
 
-SUITE_NAMES = ("relations", "identity", "projectors", "invariants",
-               "melcross", "super")
+GL_SUITES = ("relations", "identity", "projectors", "invariants", "melcross")
+SUITE_NAMES = GL_SUITES + ("super",)
+
+# What a job (suite, family "gl" or "glmn", labels) needs before its suite
+# runs, as (suites, test, message) in the order checked.  A gl(n) weight is
+# validated after its family, as a build would first (check_highest_weight
+# raises its own error), so later tests see it dominant: its largest |label|
+# is lam_1 or -lam_N.  Pattern weights lie in [lam_N, lam_1] and roots are
+# lam_j + N - j, so below 2^52 float64 holds each label, diagonal entry and
+# root exactly; from there on the float checks would judge another module.
+PRECONDITIONS = (
+    (("super",), lambda family, lam: family == "glmn", "suite {suite} needs a gl(m|n) algebra"),
+    (GL_SUITES, lambda family, lam: family == "gl", "suite {suite} needs a gl(n) algebra"),
+    (GL_SUITES, lambda family, lam: bool(check_highest_weight(lam)), ""),
+    (GL_SUITES, lambda family, lam: max(lam[0], -lam[-1]) < 2 ** 52 + 1 - len(lam),
+     "suite {suite} on gl({N}): a label or characteristic root reaches 2^52, "
+     "beyond exact float64 checks"),
+    (("invariants",), lambda family, lam: len(lam) >= 2,
+     "invariant suite needs a gl(n+1) module with n >= 1"),
+    (("melcross",), lambda family, lam: len(lam) >= 3, "cross-check needs gl(N) with N >= 3"),
+)
+
+
+def check_job(suite: str, family: str | None, labels: tuple) -> None:
+    """Raise DomainError with the message of the first PRECONDITIONS entry
+    of the suite that the job fails."""
+    for suites, holds, message in PRECONDITIONS:
+        if suite in suites and not holds(family, labels):
+            raise DomainError(message.format(suite=suite, N=len(labels)))
 
 
 @dataclass
@@ -113,13 +141,13 @@ def suite_relations(rep: Representation, tol: Tolerance) -> VerificationReport:
       each summed in the same order;
     - (g, g) is exactly 0 on both sides while its products are finite.
     Two further exact facts of the table, which Representation._build
-    guarantees, are checked first: every a_kk holds only diagonal entries,
-    and each a_ji holds a_ij^T (the same positions, the same floats).  With
-    them
-    - a pair of diagonal generators is 0 on both sides, or NaN on the left
-      once a product of their entries overflows;
-    - a pair (a_kk, a_h) with a_h off the diagonal has single-term sums,
-      computed in closed form over a_h's entries (_diagonal_maxima);
+    guarantees, are checked first: every a_kk holds only diagonal entries
+    D_k, and each a_ji holds a_ij^T (the same positions, the same floats).
+    With them
+    - a pair (a_kk, a_h), a_h diagonal or not, has the single term
+      (D_k[row] - D_k[col]) v on the left at each stored entry v of a_h,
+      taken in that exact form (_diagonal_maxima): an honest module gives
+      0 there on any labels run_suite accepts;
     - (t(h), t(g)), where t swaps a_ij and a_ji, is (g, h) transposed: the
       same products, each summed in the same ascending inner-index order;
     so of the off-diagonal pairs only one per transpose orbit is joined
@@ -167,10 +195,8 @@ def _orbit_maxima(rep: Representation) -> list:
     mirrored labels t(x) = 2K-1-x.  An unordered pair {x, y} of labels and
     its transpose {t(y), t(x)} have one member with x < y <= t(x), so each
     u_x is joined with the partners x+1 ... 2K-1-x, which are contiguous.
-    Diagonal generators are no partners: the pairs (a_kk, a_h) are
-    _diagonal_maxima, and the pairs of two of them enter as top*top -
-    top*top (top the largest |diagonal entry|), a dense loop's value: 0,
-    or NaN once a product overflows.
+    Diagonal generators are no partners: every pair with one is
+    _diagonal_maxima.
     """
     N = rep.N
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
@@ -179,34 +205,32 @@ def _orbit_maxima(rep: Representation) -> list:
     label[[i * N + j for i, j in pairs]] = np.arange(K)
     label[[j * N + i for i, j in pairs]] = 2 * K - 1 - np.arange(K)
     lefts = [(i * N + j, x + 1, 2 * K - x) for x, (i, j) in enumerate(pairs)]
-    diagonal = rep.entries.values[rep.entry_gen % (N + 1) == 0]
-    top = float(np.abs(diagonal).max(initial=0.0))
-    zero = top * top - top * top
-    return _joined_maxima(rep, label, lefts) + _diagonal_maxima(rep) + [[zero, zero, 0.0]]
+    return _joined_maxima(rep, label, lefts) + _diagonal_maxima(rep)
 
 
 def _diagonal_maxima(rep: Representation) -> list:
-    """The (residual, lhs, rhs) maxima of the pairs (a_kk, a_h) with a_h =
-    a_ab off the diagonal, one k at a time, for a module whose a_kk hold
-    only diagonal entries D_k.
+    """The (residual, lhs, rhs) maxima of the pairs (a_kk, a_h) over every
+    generator a_h = a_ab, diagonal ones included, one k at a time, for a
+    module whose a_kk hold only diagonal entries D_k.
 
     Each entry of either side sits at a stored v = a_h[row, col] and is a
-    single-term sum: lhs = D_k[row] v - v D_k[col] and rhs = ((a == k) -
-    (b == k)) v, as a join would sum them (D_k is 0 where a_kk stores
-    nothing, as a join finds no term there)."""
+    single term: lhs = (D_k[row] - D_k[col]) v and rhs = ((a == k) - (b ==
+    k)) v (D_k is 0 where a_kk stores nothing).  The D_k of an accepted
+    module are labels below 2^52 with integer differences, which float64
+    holds exactly, so an honest module gives exactly 0 here, where D_k[row]
+    v - v D_k[col], each product rounded, reads about 2^-53 |D_k v|.  A NaN
+    or infinite entry still makes the maxima NaN."""
     N, d = rep.N, rep.dim
     row, col, val = rep.entries
     start = rep.entry_starts
     a, b = np.divmod(rep.entry_gen, N)
-    off = a != b
-    a, b, rows, cols, vals = a[off], b[off], row[off], col[off], val[off]
     maxima = []
     for k in range(N):
         own = slice(start[k * (N + 1)], start[k * (N + 1) + 1])
         diagonal = np.zeros(d)
         diagonal[row[own]] = val[own]
-        lhs = diagonal[rows] * vals - vals * diagonal[cols]
-        rhs = ((a == k) - (b == k).astype(float)) * vals
+        lhs = (diagonal[row] - diagonal[col]) * val
+        rhs = ((a == k) - (b == k).astype(float)) * val
         maxima.append([np.abs(lhs - rhs).max(initial=0.0), np.abs(lhs).max(initial=0.0),
                        np.abs(rhs).max(initial=0.0)])
     return maxima
@@ -365,8 +389,6 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
 
 def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     """Projector-corner and squared-norm invariants of the top branching step."""
-    if rep.N < 2:
-        raise DomainError("invariant suite needs a gl(n+1) module with n >= 1")
     report = VerificationReport("invariants")
     n = rep.N - 1
     d = rep.dim
@@ -480,8 +502,6 @@ def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:
     summed per position of either triplet table, neither of which holds a
     position twice, are the dense |actual| - expected bit for bit."""
     report = VerificationReport("melcross")
-    if rep.N < 3:
-        raise DomainError("cross-check needs gl(N) with N >= 3")
     for l in range(1, rep.N - 1):
         for j in range(l + 2, rep.N + 1):
             actual = rep.triplets(l, j)
@@ -495,14 +515,14 @@ def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:
     return report
 
 
-def suite_super(m: int, n: int, tol: Tolerance,
-                lam: SuperWeight | None = None) -> VerificationReport:
+def suite_super(lam: SuperWeight, tol: Tolerance) -> VerificationReport:
     """Graded defining relations plus both super characteristic identities
-    on the vector representation."""
-    report = VerificationReport("super")
-    if lam is not None and lam != super_vector_weight(m, n):
+    on the vector representation of gl(m|n), whose weight lam must be."""
+    m, n = lam.m, lam.n
+    if lam != super_vector_weight(m, n):
         raise DomainError(
             f"super suite runs on the vector weight {super_vector_weight(m, n)}")
+    report = VerificationReport("super")
     report.add_exact(
         f"graded defining relations hold exactly on gl({m}|{n})",
         vector_rep_relations_hold(m, n))
@@ -513,29 +533,23 @@ def suite_super(m: int, n: int, tol: Tolerance,
 
 
 def run_suite(name: str, *, rep: Representation | None = None,
-              super_mn: tuple[int, int] | None = None,
               super_weight: SuperWeight | None = None,
               tol: Tolerance | None = None) -> VerificationReport:
-    """Dispatch one named suite and stamp its wall-clock duration.  A gl(n)
-    suite on labels whose magnitude plus N - 1 reaches 2^52 is refused."""
+    """Dispatch one named suite, on rep for a gl(n) suite and on
+    super_weight for "super", and stamp its wall-clock duration.  A job
+    that fails PRECONDITIONS is refused first."""
     tol = tol or Tolerance()
     start = time.perf_counter()
-    if name == "super":
-        if super_mn is None:
-            raise DomainError("super suite needs a gl(m|n) algebra")
-        report = suite_super(*super_mn, tol, lam=super_weight)
+    if name not in SUITE_NAMES:
+        raise DomainError(f"unknown suite {name!r}")
+    if super_weight is not None:
+        family, labels = "glmn", super_weight.labels()
     else:
-        if rep is None:
-            raise DomainError(f"suite {name!r} needs a gl(n) representation")
-        if name not in SUITE_NAMES:
-            raise DomainError(f"unknown suite {name!r}")
-        # Every pattern weight lies in [lam_N, lam_1] and every root is
-        # lam_j + N - j, so this bounds each label, diagonal entry and root.
-        # From 2^52 on float64 drops halves and then units, and the float
-        # checks would judge a module other than the exact one.
-        if max(map(abs, rep.weight)) + rep.N - 1 >= 2 ** 52:
-            raise DomainError(f"suite {name} on gl({rep.N}): a label or characteristic "
-                              f"root reaches 2^52, beyond exact float64 checks")
+        family, labels = ("gl", rep.weight) if rep is not None else (None, ())
+    check_job(name, family, labels)
+    if name == "super":
+        report = suite_super(super_weight, tol)
+    else:
         # suite_<name> is looked up when it runs, so that a suite replaced on
         # this module after import (perfbench/spans.py wraps them) is the one run.
         report = globals()[f"suite_{name}"](rep, tol)

@@ -50,6 +50,7 @@ from charid.superglmn import (
 )
 from charid.cli import main as cli_main
 from charid.verify import _transpose_closed, run_suite
+from test_superglmn import ungraded_identity
 
 
 def dominant_sweep(n, top=3):
@@ -288,7 +289,7 @@ def test_criterion_9_super_suite():
         for m, n in grid:
             assert vector_rep_relations_hold(m, n), (m, n)
             for kind in (KIND_A, KIND_ABAR):
-                report = verify_super_identity(m, n, kind)
+                report = verify_super_identity(m, n, kind, Tolerance())
                 assert report.residual < 1e-10, (m, n, kind)
         typical = classify_type1_star(SuperWeight((2, 1), (3,)))
         assert typical.verdict == TYPICAL and typical.witness is None
@@ -315,9 +316,8 @@ def test_criterion_10_negative_controls(reps, capsys):
             product = product @ (bad - float(root) * np.eye(bad.shape[0]))
         assert max_abs(product) > 1e-3
 
-        parity_dropped = verify_super_identity(2, 1, KIND_A,
-                                               convention="ungraded")
-        assert not parity_dropped.passed and parity_dropped.residual > 1e-3
+        residual, threshold = ungraded_identity(2, 1, KIND_A)  # parity dropped
+        assert residual > threshold and residual > 1e-3
 
         lam = super_vector_weight(1, 2)
         roots = super_char_roots(lam, KIND_A)
@@ -359,14 +359,33 @@ def dense_relations(rep, tol):
     return worst, tol.threshold(scale), pairs
 
 
+def diagonal_pair_maxima(rep):
+    """The (residual, lhs, rhs) maxima of every pair (a_kk, a_ij) in exact
+    form, dense: lhs = (D_k[row] - D_k[col]) a_ij[row, col], with D_k the
+    diagonal of a_kk, and rhs = (d_ik - d_jk) a_ij."""
+    worst = lhs_max = rhs_max = 0.0
+    for k in range(1, rep.N + 1):
+        diagonal = np.diag(rep.gen(k, k))
+        differences = diagonal[:, None] - diagonal[None, :]
+        for i, j in rep.generator_labels():
+            lhs = differences * rep.gen(i, j)
+            rhs = ((i == k) - (j == k)) * rep.gen(i, j)
+            worst = max(worst, max_abs(lhs - rhs))
+            lhs_max, rhs_max = max(lhs_max, max_abs(lhs)), max(rhs_max, max_abs(rhs))
+    return worst, lhs_max, rhs_max
+
+
 def unordered_pair_relations(rep, tol):
     """Reference for the relations suite: the loop it ran before it took
     one pair per transpose orbit, each unordered pair of generators joined
     once as (g, h) with h > g, returning (residual, threshold).  Its
     products are the suite's, summed in the same order, so both agree bit
-    for bit."""
+    for bit.  On a _transpose_closed module, as in the suite, the pairs
+    with a diagonal generator are taken in exact form instead
+    (diagonal_pair_maxima): their joined terms are dropped."""
     N, d = rep.N, rep.dim
     M = N * N
+    closed = _transpose_closed(rep)
     row, col, val = rep.entries
     gen, start = rep.entry_gen, rep.entry_starts
     gen_key = gen * d * d
@@ -379,8 +398,13 @@ def unordered_pair_relations(rep, tol):
     key = gen_key + row * d + col
     with_second = [np.flatnonzero(gen % N == j) for j in range(N)]
     worst = scale = 0.0
+    if closed:
+        worst, *scales = diagonal_pair_maxima(rep)
+        scale = max(scales)
     for g in range(M - 1):
         i, j = divmod(g, N)
+        if closed and i == j:
+            continue
         own = slice(start[g], start[g + 1])
         probe = np.concatenate((col[own], row[own] + d))
         src, at = join(probe, table_start, first[probe * M + g + 1])
@@ -396,6 +420,9 @@ def unordered_pair_relations(rep, tol):
         vals = np.concatenate((table_val[at] * left_val[src], val[plus], -val[minus]))
         n_ab = int(np.searchsorted(src, start[g + 1] - start[g]))
         channel = np.repeat([0, 1, 2], [n_ab, len(src) - n_ab, len(keys) - len(src)])
+        if closed:
+            partner = keys // (d * d)
+            keys, vals, channel = (a[partner % (N + 1) != 0] for a in (keys, vals, channel))
         entries, inverse = np.unique(keys, return_inverse=True)
         size = len(entries)
         sums = np.bincount(inverse + channel * size, weights=vals,
@@ -416,13 +443,15 @@ def _relations_check(rep, tol=Tolerance()):
 def _assert_matches_dense(rep, tol=Tolerance()):
     """The suite's residual and threshold equal those of the unordered-pair
     loop bit for bit.  Products are summed in another order than the dense
-    matmul, so each sum may differ in its last bit: the residual by at most
-    1e-15, and the threshold, rel_eps = 1e-9 times a scale below 8 (ulp at
-    most 8.9e-16), by at most 8.9e-25."""
+    matmul, so each sum may differ in its last bit: the threshold, rel_eps
+    = 1e-9 times a scale below 8 (ulp at most 8.9e-16), by at most 8.9e-25.
+    The residual is at most the dense loop's plus 1e-15: on a module whose
+    a_kk are diagonal and a_ji = a_ij^T, a pair with a diagonal generator
+    is taken in exact form, with no rounding of D_k v to leave behind."""
     check = _relations_check(rep, tol)
     assert (check.residual, check.threshold) == unordered_pair_relations(rep, tol), rep.weight
     worst, threshold, pairs = dense_relations(rep, tol)
-    assert abs(check.residual - worst) <= 1e-15, rep.weight
+    assert check.residual <= worst + 1e-15, rep.weight
     assert abs(check.threshold - threshold) <= 1e-24, rep.weight
     assert check.description == (f"defining relations on {format_weight(rep.weight)}, "
                                  f"worst of {pairs} generator pairs")
@@ -430,11 +459,19 @@ def _assert_matches_dense(rep, tol=Tolerance()):
     return check
 
 
+def _assert_diagonal_pairs_exact(rep):
+    """Every pair with a diagonal generator contributes exactly 0."""
+    assert all(residual == 0.0 for residual, *_ in charid.verify._diagonal_maxima(rep)), rep.weight
+
+
 def test_relations_suite_matches_dense_loop(reps):
     for rep in reps.values():
         assert _assert_matches_dense(rep).passed
+        _assert_diagonal_pairs_exact(rep)
     for lam in DENSE_VERIFY_SHAPES:
-        assert _assert_matches_dense(Representation(lam)).passed
+        rep = Representation(lam)
+        assert _assert_matches_dense(rep).passed
+        _assert_diagonal_pairs_exact(rep)
 
 
 def _tampered_generators(N):

@@ -53,6 +53,7 @@ from charid.charident import (
     verify_identity,
 )
 from charid.glrep import casimir_eigenvalue_formula
+from charid.superglmn import super_vector_weight
 from charid.verify import _corner_residual, run_suite
 
 TOL = Tolerance()
@@ -741,7 +742,7 @@ def test_identity_and_closed_forms_run_on_blocks_only(lam, blocked_only):
 
 
 def test_super_suite_runs_on_blocks_only(blocked_only):
-    assert run_suite("super", super_mn=(2, 2)).passed
+    assert run_suite("super", super_weight=super_vector_weight(2, 2)).passed
     assert len(blocked_only) == 2  # the full root product of each kind
 
 

@@ -16,6 +16,7 @@ from charid.glrep import Representation
 from charid.gtbasis import row_starts, table_labels, table_weights
 from charid.kernel import DomainError
 from charid.superglmn import SuperWeight, super_vector_weight, vector_rep
+from charid.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -333,12 +334,13 @@ def _reference_payload(algebra, labels):
     if "|" in algebra:
         m, n = (int(x) for x in algebra[2:].split("|"))
         gens = vector_rep(m, n)
+        size = m + n
         return {"schema": 1, "command": "rep", "algebra": algebra,
                 "weight": [str(x) for x in super_vector_weight(m, n).labels()],
-                "dimension": m + n,
-                "generators": [{"name": f"a_{p}_{q}", "kind": "vector", "rows": m + n,
-                                "cols": m + n, "triplets": _reference_triplets(gens[(p, q)])}
-                               for p, q in sorted(gens)]}
+                "dimension": size,
+                "generators": [{"name": f"a_{p}_{q}", "kind": "vector", "rows": size,
+                                "cols": size, "triplets": _reference_triplets(gens[p - 1, q - 1])}
+                               for p in range(1, size + 1) for q in range(1, size + 1)]}
     rep = Representation(labels)
     starts = row_starts(rep.N)
     basis = [{"ordinal": c, "rows": [[str(rep.weight[-1] + int(o))
@@ -633,3 +635,38 @@ def test_a_kept_module_is_read_only_and_unchanged_by_every_job(capsys):
     arrays = list(_arrays(vars(rep)))
     assert len(arrays) >= 12 and not any(a.flags.writeable for a in arrays)
     assert _bits(rep) == before
+
+
+REFUSED_BEFORE_BUILD = [
+    (("--algebra", "gl2", "--weight=3,1", "--suite", "melcross"),
+     "cross-check needs gl(N) with N >= 3"),
+    (("--algebra", "gl1", "--weight=3", "--suite", "invariants"),
+     "invariant suite needs a gl(n+1) module with n >= 1"),
+    (("--algebra", "gl2", "--weight=4503599627370496,4503599627370495", "--suite", "melcross"),
+     "suite melcross on gl(2): a label or characteristic root reaches 2^52, "
+     "beyond exact float64 checks"),
+    (("--algebra", "gl2", "--weight=0,1", "--suite", "melcross"),
+     "weight (0,1) is not dominant (labels must not increase)"),
+    (("--algebra", "gl2|1", "--weight=1,0,0", "--suite", "relations"),
+     "suite relations needs a gl(n) algebra"),
+    (("--algebra", "gl3", "--weight=1,0,0", "--suite", "super"),
+     "suite super needs a gl(m|n) algebra"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_BEFORE_BUILD,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_BEFORE_BUILD])
+def test_a_job_its_suite_cannot_run_builds_nothing(argv, message, capsys, monkeypatch):
+    """Each precondition is checked before the module is built, with the
+    message run_suite gives on a built module, in the same order: the
+    weight's own error before the 2^52 bound, and that before the size."""
+    builds = []
+    monkeypatch.setattr(charid.cli, "Representation", lambda labels: builds.append(labels))
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+    assert builds == []
+    family, sizes = parse_algebra(argv[1])
+    if family == "gl" and "dominant" not in message:
+        with pytest.raises(DomainError) as raised:
+            run_suite(argv[-1], rep=Representation(
+                parse_weight(argv[2].split("=", 1)[1], family, sizes)))
+        assert str(raised.value) == message

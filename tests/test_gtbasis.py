@@ -113,7 +113,7 @@ def test_shifted_validity():
     pats = enumerate_patterns(w(2, 0))
     top = pats[0]  # row1 = (2,)
     assert top.shifted(1, 1) is None  # 3 > 2 breaks interlacing
-    lowered = top.shifted(1, 1, -1)
+    lowered = top.shifted_many([(1, 1, -1)])
     assert lowered is not None and lowered.row(1) == (1,)
 
 

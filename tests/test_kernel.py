@@ -185,8 +185,7 @@ def test_rationalize_roundtrip_and_failure():
     assert rationalize(1.5, tol) == Fraction(3, 2)
     assert rationalize(float(Fraction(-9, 4)), tol) == Fraction(-9, 4)
     with pytest.raises(Exception):
-        rationalize(0.1234567891234, Tolerance(abs_eps=1e-15, rel_eps=1e-15),
-                    max_denominator=10)
+        rationalize(0.1234567891234, Tolerance(abs_eps=1e-15, rel_eps=1e-15))
 
 
 def test_max_abs_empty():

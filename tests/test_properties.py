@@ -22,7 +22,7 @@ from charid.kernel import Triplets
 from charid.gtbasis import dimension, is_dominant, pattern_table, table_patterns, weight
 from charid.superglmn import vector_rep_relations_hold
 from charid.verify import run_suite
-from test_acceptance import _assert_matches_dense
+from test_acceptance import _assert_diagonal_pairs_exact, _assert_matches_dense
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -73,11 +73,14 @@ def test_shift_by_identity_keeps_relations(case):
 @given(shifted_weights())
 def test_relations_suite_matches_the_dense_loop(case):
     """The suite joins one off-diagonal pair per transpose orbit and takes
-    the diagonal pairs in closed form; its residual and threshold equal
-    the unordered-pair loop's bit for bit and still match the dense loop
-    over all N^4 ordered pairs."""
+    the pairs with a diagonal generator in exact form, where they give
+    exactly 0; its residual and threshold equal the unordered-pair loop's
+    bit for bit and still match the dense loop over all N^4 ordered
+    pairs."""
     lam, c = case
-    assert _assert_matches_dense(Representation(tuple(x + c for x in lam))).passed
+    rep = Representation(tuple(x + c for x in lam))
+    assert _assert_matches_dense(rep).passed
+    _assert_diagonal_pairs_exact(rep)
 
 
 @PROPERTY_SETTINGS
@@ -247,8 +250,8 @@ def test_graded_relations_hold_and_break_on_one_moved_entry(case):
 
     def moved(m, n):
         gens = real(m, n)
-        gens[(p, q)][p - 1, q - 1] = 0
-        gens[(p, q)][target] = 1
+        gens[p - 1, q - 1][p - 1, q - 1] = 0
+        gens[p - 1, q - 1][target] = 1
         return gens
 
     with pytest.MonkeyPatch.context() as patch:

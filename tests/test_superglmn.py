@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 import charid.superglmn
-from charid.kernel import ConventionError, DomainError, Tolerance, max_abs
-from charid.charident import KIND_A, KIND_ABAR
+from charid.kernel import DomainError, Tolerance, max_abs
+from charid.charident import KIND_A, KIND_ABAR, Blocks, identity_residual
 from charid.superglmn import (
     ATYPICAL,
     NOT_STAR,
     TYPICAL,
-    FROZEN_CONVENTION,
     SuperWeight,
     _compose_unchecked,
-    calibrate_convention,
+    _super_blocks,
     classify_type1_star,
     compose_type1_weight,
     is_covariant,
@@ -42,14 +41,26 @@ def test_parity_split():
 
 def test_gl11_bracket_is_anticommutator():
     gens = vector_rep(1, 1)
-    lhs = gens[(1, 2)] @ gens[(2, 1)] + gens[(2, 1)] @ gens[(1, 2)]
-    assert np.array_equal(lhs, gens[(1, 1)] + gens[(2, 2)])
+    lhs = gens[0, 1] @ gens[1, 0] + gens[1, 0] @ gens[0, 1]
+    assert np.array_equal(lhs, gens[0, 0] + gens[1, 1])
 
 
 def test_gl21_even_bracket_is_commutator():
     gens = vector_rep(2, 1)
-    lhs = gens[(1, 2)] @ gens[(2, 3)] - gens[(2, 3)] @ gens[(1, 2)]
-    assert np.array_equal(lhs, gens[(1, 3)])
+    lhs = gens[0, 1] @ gens[1, 2] - gens[1, 2] @ gens[0, 1]
+    assert np.array_equal(lhs, gens[0, 2])
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 3), (3, 2)], ids=str)
+def test_vector_rep_is_one_array_of_matrix_units(mn):
+    """vector_rep(m, n)[p-1, q-1] is the matrix unit e_pq, as int64."""
+    size = sum(mn)
+    gens = vector_rep(*mn)
+    assert gens.shape == (size,) * 4 and gens.dtype == np.int64
+    for p, q in itertools.product(range(1, size + 1), repeat=2):
+        unit = np.zeros((size, size), dtype=np.int64)
+        unit[p - 1, q - 1] = 1
+        assert np.array_equal(gens[p - 1, q - 1], unit), (p, q)
 
 
 @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -64,7 +75,7 @@ def test_graded_relations_fail_on_one_wrong_entry(mn, monkeypatch):
 
     def tampered(m, n):
         gens = real(m, n)
-        gens[(1, m + 1)][0, m] = 2  # a_{1,m+1} = 2 e_{1,m+1}
+        gens[0, m][0, m] = 2  # a_{1,m+1} = 2 e_{1,m+1}
         return gens
 
     monkeypatch.setattr(charid.superglmn, "vector_rep", tampered)
@@ -89,21 +100,68 @@ def test_super_roots_follow_parity_signed_formula():
 
 
 def test_super_identity_gl11_abar():
-    report = verify_super_identity(1, 1, KIND_ABAR)
+    report = verify_super_identity(1, 1, KIND_ABAR, Tolerance())
     assert report.passed and report.residual < 1e-12
 
 
 def test_super_identity_gl21_a():
-    report = verify_super_identity(2, 1, KIND_A)
+    report = verify_super_identity(2, 1, KIND_A, Tolerance())
     assert report.passed and report.residual < 1e-12
 
 
-@pytest.mark.parametrize("mn", [(m, n) for m in range(1, 5)
-                                for n in range(1, 5) if m + n <= 5])
+SUPER_GRID = [(m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
+
+
+@pytest.mark.parametrize("mn", SUPER_GRID)
 @pytest.mark.parametrize("kind", [KIND_A, KIND_ABAR])
 def test_super_identity_grid(mn, kind):
-    report = verify_super_identity(*mn, kind)
+    report = verify_super_identity(*mn, kind, Tolerance())
     assert report.passed and report.residual < 1e-10
+
+
+def _loop_blocks(m, n, sign, swap):
+    """The characteristic matrix block by block, as super_char_matrix was
+    once built: block (p, q) is sign(p, q) times e_qp (swap) or e_pq, each
+    an int64 matrix unit times a Python int."""
+    size = m + n
+    whole = np.zeros((size * size, size * size))
+    for p in range(1, size + 1):
+        for q in range(1, size + 1):
+            row, col = (q, p) if swap else (p, q)
+            gen = np.zeros((size, size), dtype=np.int64)
+            gen[row - 1, col - 1] = 1
+            block = sign(p, q) * gen.astype(np.float64)
+            whole[(p - 1) * size:p * size, (q - 1) * size:q * size] = block
+    return whole
+
+
+def _rule(m, kind, graded=True):
+    """(sign, swap) of a kind's rule: row-parity and minus-graded-swap, or
+    with graded=False the same with the parity sign dropped (ungraded and
+    ungraded-swap)."""
+    if kind == KIND_A:
+        return (lambda p, q: (-1) ** parity(p, m) if graded else 1), False
+    return (lambda p, q: -((-1) ** (parity(p, m) * parity(q, m))) if graded else -1), True
+
+
+@pytest.mark.parametrize("mn", SUPER_GRID, ids=str)
+@pytest.mark.parametrize("kind", [KIND_A, KIND_ABAR])
+def test_super_blocks_equal_the_loop_built_matrix_bit_for_bit(mn, kind):
+    """The reshaped signed generators equal the block-by-block loop in every
+    bit, signed zeros included."""
+    (whole,) = _super_blocks(*mn, kind).stacks
+    expected = _loop_blocks(*mn, *_rule(mn[0], kind))
+    assert whole.shape == (1,) + expected.shape
+    assert np.array_equal(whole[0].view(np.uint64), expected.view(np.uint64))
+
+
+def ungraded_identity(m, n, kind):
+    """Residual and threshold of the super identity, through the blocked
+    product, on the matrix with the parity sign dropped."""
+    big = _loop_blocks(m, n, *_rule(m, kind, graded=False))
+    values = sorted(root.value for root in super_char_roots(super_vector_weight(m, n), kind))
+    return identity_residual(Blocks(len(big), (np.arange(len(big))[None, :],), (big[None],)),
+                             values, Tolerance())
 
 
 @pytest.mark.parametrize("mn", [(m, n) for m in range(1, 4) for n in range(1, 4)], ids=str)
@@ -112,19 +170,25 @@ def test_super_identity_grid(mn, kind):
     (KIND_ABAR, "minus-graded-swap"), (KIND_ABAR, "ungraded-swap")])
 def test_super_identity_is_the_dense_product_bit_for_bit(mn, kind, convention):
     """The super identity on its whole block against the product of the
-    dense factors: the same residual and threshold, bit for bit, for the
-    frozen conventions and the ungraded ones that fail."""
+    dense factors: the same residual and threshold, bit for bit, for each
+    kind's rule and for the matrix with the parity sign dropped."""
     m, n = mn
-    check = verify_super_identity(m, n, kind, convention=convention)
+    if convention.startswith("ungraded"):
+        big = _loop_blocks(m, n, *_rule(m, kind, graded=False))
+        residual, threshold = ungraded_identity(m, n, kind)
+    else:
+        big = super_char_matrix(m, n, kind)
+        check = verify_super_identity(m, n, kind, Tolerance())
+        assert check.description.endswith(f"convention {convention}")
+        residual, threshold = check.residual, check.threshold
     values = sorted(root.value for root in super_char_roots(super_vector_weight(m, n), kind))
-    expected = _dense_identity(super_char_matrix(m, n, kind, convention), values, Tolerance())
-    assert (check.residual, check.threshold) == expected
+    assert (residual, threshold) == _dense_identity(big, values, Tolerance())
 
 
 def test_ungraded_convention_fails():
-    report = verify_super_identity(2, 1, KIND_A, convention="ungraded")
-    assert not report.passed
-    assert report.residual > 0.5
+    residual, threshold = ungraded_identity(2, 1, KIND_A)
+    assert residual > threshold
+    assert residual > 0.5
 
 
 def test_full_product_needed_for_repeated_roots():
@@ -133,16 +197,6 @@ def test_full_product_needed_for_repeated_roots():
     big = super_char_matrix(1, 1, KIND_A)
     assert max_abs(big) > 0
     assert max_abs(big @ big) == 0.0
-
-
-def test_calibration_selects_frozen_conventions():
-    assert calibrate_convention(KIND_A) == FROZEN_CONVENTION[KIND_A]
-    assert calibrate_convention(KIND_ABAR) == FROZEN_CONVENTION[KIND_ABAR]
-
-
-def test_calibration_error_when_no_candidate_works():
-    with pytest.raises(ConventionError):
-        calibrate_convention(KIND_A, candidates=["ungraded", "minus-ungraded"])
 
 
 def test_classify_typical():
