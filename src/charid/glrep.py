@@ -10,9 +10,11 @@ commutator is a join of one factor's columns with the other's rows.
 
 A module is built on the integer pattern table of gtbasis.pattern_table:
 every ladder factor is a difference of labels plus an integer, hence an
-integer, and each level's coefficients are computed for all patterns at
-once.  elementary_coefficient and nonelementary_coefficient are the scalar
-forms of the same closed formulas, on one GTPattern at a time.
+integer, and the coefficients of every level (for the melcross check, the
+product forms of every generator a_{l,n+1}) are computed for all patterns
+in one batch (_product_forms).  elementary_coefficient and
+nonelementary_coefficient are the scalar forms of the same closed
+formulas, on one GTPattern at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,6 @@ from .gtbasis import (
     pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
     table_interlaces,
-    table_labels,
     table_patterns,
     table_weights,
     weight,
@@ -181,22 +183,24 @@ def nonelementary_coefficient(pattern: GTPattern, l: int, n: int,
     return Surd.sqrt(value)
 
 
-def _exact_products(sign: int, num: np.ndarray, den: np.ndarray):
+def _exact_products(sign, num: np.ndarray, den: np.ndarray):
     """sign * prod(num[i]) and prod(den[i]) for each row of two integer
-    factor arrays.
+    factor arrays; sign is one int, or one per row.
 
-    While no product can reach 2**53 (each is bounded by the product of its
-    array's column maxima of |factor|) they are int64, and exact in float64
+    While no product can reach 2**53 they are int64, and exact in float64
     too; otherwise the whole batch is taken in Python ints (object arrays).
+    Each row's |product| is bounded by its float64 product: that is within
+    a factor (1 + 2**-53)**(2 * width) of it, so below 2**52 the exact one
+    is below 2**53.
     """
-    if all(math.prod(np.abs(a).max(axis=0, initial=1).tolist()) < 2 ** 53
-           for a in (num, den)):
+    if all(np.prod(np.abs(a), axis=1, dtype=float).max(initial=0) < 2 ** 52 for a in (num, den)):
         return sign * num.prod(axis=1), den.prod(axis=1)
-    return (np.array([sign * math.prod(row) for row in num.tolist()], dtype=object),
+    signs = np.broadcast_to(sign, len(num)).tolist()
+    return (np.array([s * math.prod(row) for s, row in zip(signs, num.tolist())], dtype=object),
             np.array([math.prod(row) for row in den.tolist()], dtype=object))
 
 
-def _exact_ratios(sign: int, num: np.ndarray, den: np.ndarray):
+def _exact_ratios(sign, num: np.ndarray, den: np.ndarray):
     """(numerators, denominators, quotients): the exact products of
     _exact_products and each quotient as the correctly rounded float, equal
     to float(Fraction(numerator, denominator)).  For int64 that is one
@@ -206,70 +210,236 @@ def _exact_ratios(sign: int, num: np.ndarray, den: np.ndarray):
     return p, q, np.asarray(p / q, dtype=float)
 
 
-def _cancelled_ratios(sign: int, num: np.ndarray, den: np.ndarray):
+def _cancelled_ratios(sign, num: np.ndarray, den: np.ndarray):
     """_cancelled_ratio for each row of two integer factor arrays.
 
     Each zero denominator factor cancels one zero numerator factor, counted
     per row; a zero numerator factor left over makes the ratio exactly 0.
+    Every zero factor is set to 1 in place.
     Returns _exact_ratios' (numerators, denominators, quotients) and the
     rows with more zero denominator factors than numerator ones, on which
     the scalar form raises.
     """
-    znum = np.count_nonzero(num == 0, axis=1)
-    zden = np.count_nonzero(den == 0, axis=1)
-    nums, dens, values = _exact_ratios(
-        sign, np.where(num == 0, 1, num), np.where(den == 0, 1, den))
+    zeros = num == 0
+    znum = zeros.sum(axis=1)
+    num[zeros] = 1
+    zeros = den == 0
+    zden = zeros.sum(axis=1)
+    den[zeros] = 1
+    nums, dens, values = _exact_ratios(sign, num, den)
     zero = znum > zden
     nums[zero] = 0
     values[zero] = 0.0
     return nums, dens, values, znum < zden
 
 
-def _ladder_factors(rows: np.ndarray, starts, k: int, r: np.ndarray,
-                    drop_upper: np.ndarray | None = None,
-                    drop_lower: np.ndarray | None = None):
-    """_squared_coefficient_factors on pattern table rows, one row of
-    factors per pattern.  r, drop_upper and drop_lower hold one 0-based
-    index per row; a dropped factor is set to 1.
+class _Layout(NamedTuple):
+    """Read-only index arrays of level ranges of gl(N), the same for every
+    module.
 
-    With x the shifted label, each factor is s * (label - x + r) + c on
-    label offsets: up[p] - x + r - p, x - low[l] + l - r + 1, and
-    t = x - mid[l] + l - r, whose pair t(t + 1) for l != r is one
-    denominator factor: t and t + 1 are never both zero, so the pair has as
-    many zero factors as the two, and a nonzero pair is positive.  Returns
-    (sign, numerator factors, denominator factors).
+    starts[k] is the table column of label 0 of level k (0 <= k <= N),
+    columns[k, i] that of label i of level k where i < k (before[k, i]),
+    and a column of the same row beyond.
+
+    factors holds the factors of the squared product forms of every level
+    as templates on a source pattern's labels, (table column, s, c, level)
+    each: the first `width` those of the numerator, then those of the
+    denominator.  With x the raised label of the level and r its index,
+    each factor is s * (label - (x - r - 1)) + c: numerator factors up[p] -
+    x + r - p and x - low[q] + q - r + 1, and t = x - mid[q] + q - r, whose
+    pair t(t + 1) for q != r is one denominator factor: t and t + 1 are
+    never both zero, so the pair has as many zero factors as the two, and
+    a nonzero pair is positive.  Within a range the levels next to k cancel
+    one numerator factor each, the up factor of index p where level k + 1
+    is raised at p and the low factor of index q where level k - 1 is
+    raised at q: drops holds that (level, index) of each numerator factor.
+    own holds the q of each denominator factor, which is 1 where q is the
+    level's own index.
+
+    tops, bottoms and signs hold each range's top and bottom level and the
+    sign of the product of its levels' ladder squares; ends is the top
+    level of a range of one level and N for a longer one, steps the levels
+    below the top of the longest range, and whole whether every range has
+    every level.
     """
-    up = rows[:, starts[k + 1]:starts[k + 1] + k + 1]
-    mid = rows[:, starts[k]:starts[k] + k]
-    low = rows[:, starts[k - 1]:starts[k - 1] + k - 1]
-    at = np.arange(len(rows))
-    labels = np.concatenate((up, low, mid), axis=1)
-    sign = np.repeat([1, -1, -1], [k + 1, k - 1, k])
-    shift = np.concatenate((-np.arange(1, k + 2), np.arange(2, k + 1), np.arange(1, k + 1)))
-    factors = sign * (labels - mid[at, r][:, None] + (r[:, None] + 1)) + shift
-    num, t = factors[:, :2 * k], factors[:, 2 * k:]
+
+    starts: np.ndarray
+    columns: np.ndarray
+    before: np.ndarray
+    factors: tuple
+    width: int
+    drops: tuple
+    own: np.ndarray
+    tops: np.ndarray
+    bottoms: np.ndarray
+    ends: np.ndarray
+    steps: int
+    whole: bool
+    signs: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _layout(N: int, ranges: tuple) -> _Layout:
+    """The _Layout of the level ranges (l, n) of gl(N)."""
+    starts = row_starts(N)
+    num, den = [], []
+    for k in range(1, N):
+        num += [(starts[k + 1] + p, 1, -p - 1, k, k + 1, p) for p in range(k + 1)]
+        num += [(starts[k - 1] + q, -1, q + 2, k, k - 1, q) for q in range(k - 1)]
+        den += [(starts[k] + q, -1, q + 1, k, q) for q in range(k)]
+
+    def fields(rows):
+        return tuple(freeze(np.array(field)) for field in zip(*rows))
+
+    starts, index = np.array(starts), np.arange(N)
+    bottoms, tops = np.array(ranges).T
+    return _Layout(
+        starts=freeze(starts),
+        columns=freeze(np.minimum(starts[:, None] + index, starts[1])),
+        before=freeze(index < index[:, None]),
+        factors=fields([f[:4] for f in num + den]),
+        width=len(num),
+        drops=fields([f[4:] for f in num]),
+        own=fields([f[4:] for f in den])[0],
+        tops=freeze(tops),
+        bottoms=freeze(bottoms),
+        ends=freeze(np.where(tops == bottoms, tops, N)),
+        steps=int((tops - bottoms).max()),
+        whole=bool(np.all((bottoms == 1) & (tops == N - 1))),
+        signs=freeze(np.array([-1 if sum(range(l, n + 1)) % 2 else 1 for l, n in ranges])))
+
+
+def _admissible_shifts(table: np.ndarray, layout: _Layout):
+    """Every (range, pattern, shift combination) of the level ranges
+    bottoms[i]..tops[i] of the layout that raises a pattern of the table
+    to a pattern.
+
+    A combination raises one label per level, from the range's top level
+    down: the top levels of all ranges are one grid over ranges and
+    patterns, and step s then takes level tops - s of every range still
+    open, so only admissible partial combinations are carried.  Raising
+    labels of a valid pattern can break just the inequalities in which a
+    raised label meets a row next to it, three for level k raised at index
+    i (0-based; m the labels, m' the raised ones):
+    - m_k[i] < m'_{k+1}[i], the label above, itself raised where i_{k+1} = i;
+    - m'_k[q] >= m'_{k+1}[q + 1] with q = i_{k+1} - 1, under the raised
+      label of level k + 1: m_k[q] >= m_{k+1}[q + 1] already, so this fails
+      only where the two are equal and i != q;
+    - at the range's bottom level, m_{k-1}[i - 1] > m_k[i] for i >= 1.
+    Each is read from tables of label gaps per (pattern, level, index).
+    Returns (ranges, sources, shifts): the range, the source ordinal and
+    the raised index i_k of each level k in column k (-1 outside the range,
+    and in columns 0 and N), sorted by range, then source, then (i_n, ...,
+    i_l) in the order of itertools.product.
+    """
+    tops, bottoms = layout.tops, layout.bottoms
+    labels = table[:, layout.columns]
+    index = np.arange(labels.shape[2])  # a label's index within its level
+    # rise[c, k, i] = m_{k+1}[i] - m_k[i] (-1 for i >= k), fall[c, k, q]
+    # whether m_k[q] > m_{k+1}[q + 1] (true for q = -1, under no label),
+    # low[c, k, i] whether m_{k-1}[i - 1] > m_k[i] or i = 0 (all true on
+    # the row k = N, for no check)
+    rise = np.where(layout.before, labels[:, 1:] - labels[:, :-1], -1)
+    low = np.ones(labels.shape, dtype=bool)
+    low[:, 1:-1, 1:] = labels[:, :-2, :-1] > labels[:, 1:-1, 1:]
+    if layout.steps:  # only the levels below a range's top read fall
+        fall = np.ones(rise.shape, dtype=bool)
+        fall[:, :, :-1] = labels[:, :-1, :-1] > labels[:, 1:, 1:]
+    ok = rise[:, tops] > 0
+    ok &= low[:, layout.ends]
+    ranges, sources, raised = np.nonzero(ok.transpose(1, 0, 2))
+    shifts = np.full((len(ranges), len(index) + 1), -1)
+    shifts[np.arange(len(ranges)), tops[ranges]] = raised
+    ended = []
+    for step in range(1, layout.steps + 1):
+        level = tops[ranges] - step
+        done = level < bottoms[ranges]
+        if done.any():  # the ranges that ended a level above
+            ended.append((ranges[done], sources[done], shifts[done]))
+            ranges, sources, shifts, level = (a[~done] for a in (ranges, sources, shifts, level))
+        above = shifts[np.arange(len(ranges)), level + 1]
+        under = above - 1
+        ok = rise[sources, level] + (index == above[:, None]) > 0
+        ok &= fall[sources, level, under][:, None] | (index == under[:, None])
+        ok &= low[sources, np.where(level == bottoms[ranges], level, len(index))]
+        row, raised = np.nonzero(ok)
+        ranges, sources, shifts, level = ranges[row], sources[row], shifts[row], level[row]
+        shifts[np.arange(len(row)), level] = raised
+    if ended:  # ranges of different lengths end at different steps
+        ranges, sources, shifts = (np.concatenate(a)
+                                   for a in zip(*ended, (ranges, sources, shifts)))
+        order = np.argsort(ranges, kind="stable")
+        ranges, sources, shifts = ranges[order], sources[order], shifts[order]
+    return ranges, sources, shifts
+
+
+def _product_forms(rep: "Representation", ranges):
+    """The squared closed product form of every admissible (pattern, shift
+    combination) of every level range (l, n) of ranges, in one exact
+    batch: the magnitude of a_{l,n+1} of nonelementary_coefficient, or for
+    l = n the ladder coefficient of elementary_coefficient.
+
+    Every entry takes the factors of every level (_Layout.factors), those
+    of levels outside its range set to 1, and the sign of its range.  One
+    _cancelled_ratios pass gives every exact numerator and denominator and
+    the correctly rounded float quotient.  Returns (owner, cols, rows,
+    nums, dens, values), one entry per admissible combination in the order
+    of _admissible_shifts: its range's index in ranges, its source and
+    target ordinals, and its exact square with that square's float.  A
+    square the scalar forms reject (an unmatched zero denominator factor,
+    or a negative one) raises their error on the first.
+    """
+    table, layout = rep.table, _layout(rep.N, tuple(ranges))
+    owner, cols, shifts = _admissible_shifts(table, layout)
+    sources = table[cols]
+    # the flat index in sources of each level's raised label x, and x - r - 1
+    # (junk at levels outside the range)
+    raised = layout.starts + shifts + (np.arange(len(cols)) * table.shape[1])[:, None]
+    x = sources.ravel()[raised] - shifts - 1
+    column, s, c, level = layout.factors
+    factors = sources[:, column]
+    factors -= x[:, level]
+    factors *= s
+    factors += c
+    num, t = factors[:, :layout.width], factors[:, layout.width:]
     den = t * (t + 1)
-    den[at, r] = 1
-    if drop_upper is not None:
-        num[at, drop_upper] = 1
-    if drop_lower is not None:
-        num[at, k + 1 + drop_lower] = 1
-    return (-1 if k % 2 else 1), num, den
+    if layout.steps:  # a raised level next to another drops one factor
+        drop_level, drop = layout.drops
+        num[shifts[:, drop_level] == drop] = 1
+    own = shifts[:, level[layout.width:]]
+    den[own == layout.own] = 1
+    if not layout.whole:  # levels outside the range have no factors
+        num[shifts[:, level[:layout.width]] < 0] = 1
+        den[own < 0] = 1
+    nums, dens, values, unmatched = _cancelled_ratios(layout.signs[owner], num, den)
+    bad = unmatched | (nums < 0)
+    if bad.any():  # on the first in range, then basis order, in the scalar forms' words
+        i = np.flatnonzero(bad)[0]
+        l, n = ranges[owner[i]]
+        pattern, indices = rep.patterns[cols[i]], tuple((shifts[i, n:l - 1:-1] + 1).tolist())
+        what = (f"ladder coefficient k={n} r={indices[0]}" if l == n
+                else f"coefficient a_{l},{n + 1} shifts {indices} on {pattern.rows}")
+        if unmatched[i]:
+            raise DegeneratePatternError(f"unmatched zero denominator factor in {what}")
+        where = (f"admissible shift k={n} r={indices[0]}" if l == n
+                 else f"a_{l},{n + 1} shifts {indices}")
+        raise ConsistencyError(
+            f"negative squared coefficient {Fraction(int(nums[i]), int(dens[i]))} "
+            f"for {where} on {pattern.rows}")
+    sources.ravel()[raised[shifts >= 0]] += 1  # now the targets
+    return owner, cols, rep._ordinals(sources), nums, dens, values
 
 
-def _row_index(table: np.ndarray) -> dict[tuple, int]:
-    return {row: c for c, row in enumerate(map(tuple, table.tolist()))}
-
-
-def _block_diagonal(parts, d: int) -> Triplets:
-    """Row-major Triplets of the block-diagonal matrix of the d x d
-    matrices parts, each given as (rows, cols, values); zeros dropped."""
-    shift = np.repeat(np.arange(len(parts)) * d, [len(rows) for rows, _, _ in parts])
-    rows, cols, values = (np.concatenate(a) for a in zip(*parts))
+def _block_diagonal(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    values: np.ndarray, count: int, d: int) -> Triplets:
+    """Row-major Triplets of the block-diagonal matrix of count d x d
+    matrices, entry e being (rows[e], cols[e]) = values[e] of matrix
+    block[e]; zeros dropped."""
     keep = values != 0
-    rows, cols, values = (rows + shift)[keep], (cols + shift)[keep], values[keep]
-    order = np.argsort(rows * (len(parts) * d) + cols)
-    return Triplets(rows[order], cols[order], values[order])
+    shift = block[keep] * d
+    rows, cols = rows[keep] + shift, cols[keep] + shift
+    order = np.argsort(rows * (count * d) + cols)
+    return Triplets(rows[order], cols[order], values[keep][order])
 
 
 def _blocks(t: Triplets, first: int, count: int, d: int) -> Triplets:
@@ -312,10 +482,12 @@ class Representation:
     """All generator matrices of one irreducible gl(N) module.
 
     Immutable after construction: every array it holds (`table`,
-    `entries`, `entry_gen`, `entry_starts` and the ladder squares) is
-    read-only, so one module can be shared by any number of checks.  The
-    basis is held as `table`, the int64 pattern table
-    (gtbasis.pattern_table).  The nonzero entries of all N^2
+    `entries`, `entry_gen`, `entry_starts`, the ladder squares and the
+    pattern keys) is read-only, so one module can be shared by any number
+    of checks.  The basis is held as `table`, the int64 pattern table
+    (gtbasis.pattern_table); `_ordinals` finds the ordinal of any pattern
+    by binary search in `_keys`, one ascending bytes key per table row.
+    The nonzero entries of all N^2
     generators are stored once, in one Triplets table `entries`:
     generator a_ij is g = (i-1)N + j-1, entry_gen holds g for each entry,
     its entries are entry_starts[g]:entry_starts[g+1], row-major, and
@@ -328,9 +500,9 @@ class Representation:
     """
 
     def __init__(self, labels):
-        self.weight: Weight = check_highest_weight(weight(labels))
+        self.weight: Weight = weight(labels)
         self.N = len(self.weight)
-        self.table = freeze(pattern_table(self.weight))
+        self.table = freeze(pattern_table(self.weight))  # validates the weight first
         self.dim = len(self.table)
         # k -> (rows, cols, numerators, denominators) of a_{k,k+1}'s squared
         # entries, in basis order.
@@ -346,15 +518,24 @@ class Representation:
         return pattern_ordinals(self.patterns)
 
     @cached_property
-    def _index(self) -> dict[tuple, int]:
-        """Ordinal of each table row, keyed by the row as a tuple of ints,
-        made on first use.  The build drops its own copy when it ends: held
-        through dense verify jobs, it made their peak RSS read ~4 MB higher
-        (huge pages kept resident) in most benchmark runs.  Once made it
-        stays with the module, also while the CLI keeps that module for
-        later jobs (cli._module); only the suites that move patterns
-        (invariants, melcross) make it."""
-        return _row_index(self.table)
+    def _keys(self) -> np.ndarray:
+        """One bytes key per table row, ascending: each label offset's
+        distance from the largest, big-endian in the narrowest unsigned
+        type, so that comparing keys bytewise compares the rows
+        lexicographically, reversed (pattern_table lists the basis in
+        descending lexicographic order)."""
+        return freeze(self._distances(self.table).ravel())
+
+    def _distances(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of label offsets as (rows, 1) bytes keys, as _keys are made."""
+        top = int(self.table[0, 0])
+        dist = np.ascontiguousarray(top - rows, dtype=np.min_scalar_type(top).newbyteorder(">"))
+        return dist.view(np.dtype((np.void, dist.shape[1] * dist.itemsize)))
+
+    def _ordinals(self, rows: np.ndarray) -> np.ndarray:
+        """The ordinal of each row of label offsets, every one a pattern of
+        the basis, by binary search among the _keys."""
+        return np.searchsorted(self._keys, self._distances(rows).ravel())
 
     @cached_property
     def raising_surds(self) -> dict[int, dict[tuple[int, int], Surd]]:
@@ -390,9 +571,7 @@ class Representation:
         moves fastest."""
         moved = self.table[:, None, :] + moves
         cols, move = np.nonzero(table_interlaces(moved, self.N))
-        rows = np.array([self._index[row] for row in map(tuple, moved[cols, move].tolist())],
-                        dtype=np.intp)
-        return cols, move, rows
+        return cols, move, self._ordinals(moved[cols, move])
 
     def _store(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                values: np.ndarray):
@@ -408,25 +587,33 @@ class Representation:
 
     def _build(self):
         table, d, N = self.table, self.dim, self.N
-        starts = row_starts(N)
         # a_kk acts by the pattern weights lam_N + offset.  An entry is
         # stored where that exact label is nonzero, with the label's float,
-        # which is 0.0 for a label too small for float64; each distinct
-        # label goes through bool() and float() once.
+        # which is 0.0 for a label too small for float64.  Each distinct
+        # label is p/q with q the denominator of lam_N, and its float is the
+        # correctly rounded quotient p / q of Python ints, as float() of the
+        # Fraction takes it.
         weights = table_weights(table, N)
-        diagonals = table_labels(self.weight, weights, float)
-        k, basis = np.nonzero(table_labels(self.weight, weights, bool).T)
+        low, q = int(weights.min()), self.weight[-1].denominator
+        labels = [self.weight[-1].numerator + v * q for v in range(low, int(weights.max()) + 1)]
+        diagonals = np.array([p / q for p in labels])[weights - low]
+        k, basis = np.nonzero(np.array([p != 0 for p in labels])[weights - low].T)
         parts = [(k * (N + 1), basis, basis, diagonals[basis, k])]
         # The generators a_{i,i+size} of one size are the diagonal blocks
         # i - 1 of one block-diagonal matrix: the elementary ones (size 1)
-        # from the ladder coefficients, each further size as one commutator
-        # a_{i,j} = [a_{i,j-1}, a_{j-1,j}] of such matrices.  Each a_ij is
-        # stored with its transpose a_ji.
-        index = _row_index(table)
-        ladders = [self._raising(k, starts, index) for k in range(1, N)]
+        # from the ladder coefficients of every level, found in one batch,
+        # each further size as one commutator a_{i,j} = [a_{i,j-1},
+        # a_{j-1,j}] of such matrices.  Each a_ij is stored with its
+        # transpose a_ji.  The exact squares of a_{k,k+1}'s entries are kept
+        # in _ladders[k], in basis order of the column, r fastest.
         for size in range(1, N):
             if size == 1:
-                stack = elementary = _block_diagonal(ladders, d)
+                block, *ladders, values = _product_forms(self, [(k, k) for k in range(1, N)])
+                cols, rows, nums, dens = map(freeze, ladders)
+                bounds = np.searchsorted(block, np.arange(N)).tolist()
+                for k, lo, hi in zip(range(1, N), bounds, bounds[1:]):
+                    self._ladders[k] = tuple(a[lo:hi] for a in (rows, cols, nums, dens))
+                stack = elementary = _block_diagonal(block, rows, cols, np.sqrt(values), N - 1, d)
             else:
                 count = N - size
                 stack = sparse_commutator(_blocks(stack, 0, count, d),
@@ -438,76 +625,19 @@ class Representation:
             parts.append((upper + size * (N - 1), cols, rows, stack.values))  # a_ji
         self._store(*(np.concatenate(a) for a in zip(*parts)))
 
-    def _raising(self, k: int, starts, index):
-        """(rows, cols, values) of a_{k,k+1} from the ladder coefficients of
-        every admissible (pattern, r), in basis order of the column; its
-        exact squares are kept in _ladders[k]."""
-        table = self.table
-        up = table[:, starts[k + 1]:starts[k + 1] + k + 1]
-        mid = table[:, starts[k]:starts[k] + k]
-        low = table[:, starts[k - 1]:starts[k - 1] + k - 1]
-        # The mask of GTPattern.shifted(k, r) on a valid pattern, one column
-        # per r; nonzero() lists it in basis order, r fastest.
-        ok = mid < up[:, :k]
-        ok[:, 1:] &= low > mid[:, 1:]
-        cols, r = np.nonzero(ok)
-        nums, dens, values, unmatched = _cancelled_ratios(
-            *_ladder_factors(table[cols], starts, k, r))
-        bad = np.flatnonzero(unmatched | (nums < 0))
-        if bad.size:  # the first in basis order, as the scalar path raises
-            i = bad[0]
-            if unmatched[i]:
-                raise DegeneratePatternError(
-                    f"unmatched zero denominator factor in ladder coefficient k={k} r={r[i] + 1}")
-            raise ConsistencyError(
-                f"negative squared coefficient {Fraction(int(nums[i]), int(dens[i]))} "
-                f"for admissible shift k={k} r={r[i] + 1} on {self.patterns[cols[i]].rows}")
-        targets = table[cols]
-        targets[np.arange(len(cols)), starts[k] + r] += 1
-        rows = np.array([index[row] for row in map(tuple, targets.tolist())], dtype=np.intp)
-        self._ladders[k] = tuple(map(freeze, (rows, cols, nums, dens)))
-        return rows, cols, np.sqrt(values)
-
 
 def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> Triplets:
     """|<pattern + sum of shifts| a_{l,n+1} |pattern>| for every basis
     pattern and shift combination, as the Triplets of a dim x dim matrix,
     from the product form of nonelementary_coefficient.
 
-    Every combination (i_n, ..., i_l) raises one label per level; all of
-    them are applied to the whole table at once, and each level's factors
-    are those of _ladder_factors on the patterns that stay in the lattice.
-    No position comes twice: distinct combinations reach distinct targets.
+    Every combination (i_n, ..., i_l) raises one label per level; this is
+    the range l..n of _product_forms, taken alone.  No position comes
+    twice: distinct combinations reach distinct targets.
     """
     if not 1 <= l <= n < rep.N:
         raise DomainError(f"need 1 <= l <= n < {rep.N}, got l={l} n={n}")
-    starts = row_starts(rep.N)
-    levels = range(n, l - 1, -1)
-    # 0-based shift indices, one column per level, in the order of
-    # itertools.product over the scalar form's shift tuples
-    combos = np.array(list(itertools.product(*(range(level) for level in levels))))
-    moves = np.zeros((len(combos), rep.table.shape[1]), dtype=np.int64)
-    for pos, level in enumerate(levels):
-        moves[np.arange(len(combos)), starts[level] + combos[:, pos]] = 1
-    cols, combo, rows = rep.raised(moves)
-    shifts, sources = combos[combo], rep.table[cols]
-    sign, num, den = 1, [], []
-    for pos, level in enumerate(levels):
-        s, level_num, level_den = _ladder_factors(
-            sources, starts, level, shifts[:, pos],
-            drop_upper=shifts[:, pos - 1] if level < n else None,
-            drop_lower=shifts[:, pos + 1] if level > l else None)
-        sign *= s
-        num.append(level_num)
-        den.append(level_den)
-    nums, _, values, unmatched = _cancelled_ratios(
-        sign, np.concatenate(num, axis=1), np.concatenate(den, axis=1))
-    bad = np.flatnonzero(unmatched | (nums < 0))
-    if bad.size:  # the scalar form raises on the first, in basis order
-        pattern = rep.patterns[cols[bad[0]]]
-        nonelementary_coefficient(pattern, l, n, shifts[bad[0]] + 1)
-        raise ConsistencyError(
-            f"batched a_{l},{n + 1} coefficient disagrees with the scalar form on {pattern.rows}")
+    _, cols, rows, _, _, values = _product_forms(rep, [(l, n)])
     keep = np.flatnonzero(values)
     order = keep[np.argsort(rows[keep] * rep.dim + cols[keep])]
     return Triplets(rows[order], cols[order], np.sqrt(values[order]))
