@@ -11,10 +11,7 @@ from .kernel import (
     SchurViolationError,
     Surd,
     Tolerance,
-    commutator,
-    matrix_power,
     max_abs,
-    partial_trace_block,
 )
 from .gtbasis import (
     GTPattern,
@@ -22,16 +19,11 @@ from .gtbasis import (
     branch,
     check_highest_weight,
     dimension,
-    enumerate_patterns,
-    pattern_weight,
     weight,
 )
 from .glrep import (
     Representation,
     casimir_eigenvalue_formula,
-    elementary_coefficient,
-    gl_block_matrix,
-    nonelementary_coefficient,
 )
 from .charident import (
     KIND_A,
@@ -42,17 +34,11 @@ from .charident import (
     Projector,
     Root,
     build_char_matrix,
-    build_projector,
     build_projectors,
     casimir_sigma,
     char_roots,
     dual_vector_weight,
-    elementary_square_from_invariants,
     general_root_candidates,
-    invariant_C_eigenvalue,
-    invariant_M_eigenvalue,
-    restricted_projector,
-    shift_components,
     vector_weight,
     verify_identity,
 )
@@ -62,7 +48,6 @@ from .superglmn import (
     classify_type1_star,
     compose_type1_weight,
     parity,
-    super_char_matrix,
     super_char_roots,
     super_vector_weight,
     vector_rep,

@@ -217,13 +217,11 @@ class CharMatrix:
 
 @dataclass(frozen=True)
 class Projector:
+    """The r-th root's eigenspace projector; its rank is round(blocks.trace())."""
+
     r: int
     root: Root
     blocks: Blocks
-
-    @property
-    def rank(self) -> int:
-        return int(round(self.blocks.trace()))
 
 
 @dataclass(frozen=True)
@@ -349,16 +347,15 @@ def general_root_candidates(lam, mu) -> dict[Fraction, tuple[Weight, ...]]:
     return {v: tuple(nus) for v, nus in out.items()}
 
 
-def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
-               tol: Tolerance | None = None) -> tuple[Root, ...]:
+def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None) -> tuple[Root, ...]:
     """Exact characteristic roots with constituent labels and multiplicities.
 
     For kinds "A"/"Abar" the multiplicity is the Weyl dimension of the
     shifted constituent, or 0 when the shift leaves the dominant cone (the
     root is then absent from the module's minimal polynomial).  For the
     general kind, candidates are pruned against the numerically observed
-    spectrum of the supplied (or freshly built) matrix; equal candidate
-    values merge into one root.
+    spectrum of the supplied (or freshly built) matrix, within the default
+    Tolerance; equal candidate values merge into one root.
     """
     lam = check_highest_weight(lam)
     if kind in (KIND_A, KIND_ABAR):
@@ -378,7 +375,6 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
         raise DomainError(f"unknown characteristic matrix kind {kind!r}")
     if mu is None:
         raise DomainError("general kind needs the auxiliary highest weight mu")
-    tol = tol or Tolerance()
     candidates = general_root_candidates(lam, mu)
     if cm is None:
         cm = build_char_matrix(Representation(lam), KIND_GENERAL,
@@ -386,7 +382,7 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None,
     # The coproduct matrix is symmetric, and so is each of its blocks.
     eigenvalues = np.sort(np.concatenate(
         [np.linalg.eigvalsh(stack).ravel() for stack in cm.blocks.stacks]))
-    atol = tol.threshold(max_abs(eigenvalues))
+    atol = Tolerance().threshold(max_abs(eigenvalues))
     out = []
     for value in sorted(candidates):
         count = int(np.sum(np.abs(eigenvalues - float(value)) <= atol))
@@ -654,20 +650,19 @@ def restricted_projector(rep: Representation, level: int, r: int,
 
 @dataclass(eq=False, repr=False)  # a frozen dataclass adds 1 ms to the import
 class ShiftContraction:
-    """Both contraction routes of the r-th shift component of the raising
-    column psi_j = a_{j,n+1} of a gl(n+1) module of dimension d, on the
-    restricted projectors held as blocks.
+    """The r-th shift component of the raising column psi_j = a_{j,n+1} of
+    a gl(n+1) module of dimension d, on the restricted projectors held as
+    blocks.
 
-    components[j - 1] is psi[n;r]_j = sum_i psi_i Pbar[n;r]_ij, and
-    cross[j - 1] is sum_i P[n;r]_ji psi_i, both (n, d, d) arrays.  The
-    contraction residual is their largest disagreement, the support
-    residual the largest entry of the components off the shift
+    components[j - 1] is psi[n;r]_j = sum_i psi_i Pbar[n;r]_ij, an (n, d, d)
+    array.  The contraction residual is its largest disagreement with the
+    other route, sum_i P[n;r]_ji psi_i, which is not kept; the support
+    residual is the largest entry of the components off the shift
     mu -> mu + D_r of row n.
     """
 
     r: int
     components: np.ndarray
-    cross: np.ndarray
     p: Blocks
     pbar: Blocks
     contraction_residual: float
@@ -692,9 +687,9 @@ def shift_contractions(rep: Representation, psi: np.ndarray, rs
     The restricted characteristic matrices and their operator nodes are
     built once for all r.  Each r makes its pair of projectors and two
     products on their blocks (whole-array for a single block, one batched
-    product per stack of equal blocks otherwise): P [psi_1; ...; psi_n],
-    whose block j is cross_j, and Pbar^T [psi_1^T; ...; psi_n^T], whose
-    block j is psi[n;r]_j^T.
+    product per stack of equal blocks otherwise): Pbar^T [psi_1^T; ...;
+    psi_n^T], whose block j is psi[n;r]_j^T, and P [psi_1; ...; psi_n],
+    block j sum_i P_ji psi_i, let go once the contraction residual is read.
     """
     n, d = rep.N - 1, rep.dim
     if n < 1:
@@ -709,9 +704,12 @@ def shift_contractions(rep: Representation, psi: np.ndarray, rs
             raise DomainError(f"component index {r} outside 1..{n}")
         p = _restricted_product(*matrix, r)
         pbar = _restricted_product(*matrix_bar, r)
-        cross = p.matmul(psi_rows).reshape(n, d, d)
         components = pbar.transposed().matmul(psi_cols).reshape(n, d, d).swapaxes(1, 2)
-        yield ShiftContraction(r, components, cross, p, pbar, max_abs(components - cross),
+        cross = p.matmul(psi_rows).reshape(n, d, d)
+        cross -= components
+        contraction = max_abs(cross)
+        del cross
+        yield ShiftContraction(r, components, p, pbar, contraction,
                                _support_residual(ids, r, components))
 
 

@@ -47,7 +47,7 @@ from .gtbasis import (
     Weight,
     check_highest_weight,
     enumerate_patterns,  # unused here, kept as a name the benchmark's tracer wraps
-    pattern_ordinals,
+    pattern_ordinals,  # unused here, kept as a name the benchmark's tracer wraps
     pattern_table,
     pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
@@ -493,7 +493,8 @@ class Representation:
     its entries are entry_starts[g]:entry_starts[g+1], row-major, and
     `triplets(i, j)` is that slice.  `gen(i, j)` scatters a fresh dense
     d x d matrix from it on each call, so no check can read a dense copy
-    that differs from the triplets.  `patterns`, `ordinal` and the
+    that differs from the triplets.  `patterns`, in basis order (so
+    gtbasis.pattern_ordinals(patterns) maps each to its ordinal), and the
     exact Surd sidecar `raising_surds` of the elementary raising
     generators, keyed by (row, column) ordinal so squared-norm identities
     can be checked in rational arithmetic, are made on first use too.
@@ -512,10 +513,6 @@ class Representation:
     @cached_property
     def patterns(self) -> list[GTPattern]:
         return table_patterns(self.weight, self.table)
-
-    @cached_property
-    def ordinal(self) -> dict[GTPattern, int]:
-        return pattern_ordinals(self.patterns)
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -624,23 +621,6 @@ class Representation:
             parts.append((upper, rows, cols, stack.values))
             parts.append((upper + size * (N - 1), cols, rows, stack.values))  # a_ji
         self._store(*(np.concatenate(a) for a in zip(*parts)))
-
-
-def nonelementary_magnitudes(rep: Representation, l: int, n: int) -> Triplets:
-    """|<pattern + sum of shifts| a_{l,n+1} |pattern>| for every basis
-    pattern and shift combination, as the Triplets of a dim x dim matrix,
-    from the product form of nonelementary_coefficient.
-
-    Every combination (i_n, ..., i_l) raises one label per level; this is
-    the range l..n of _product_forms, taken alone.  No position comes
-    twice: distinct combinations reach distinct targets.
-    """
-    if not 1 <= l <= n < rep.N:
-        raise DomainError(f"need 1 <= l <= n < {rep.N}, got l={l} n={n}")
-    _, cols, rows, _, _, values = _product_forms(rep, [(l, n)])
-    keep = np.flatnonzero(values)
-    order = keep[np.argsort(rows[keep] * rep.dim + cols[keep])]
-    return Triplets(rows[order], cols[order], np.sqrt(values[order]))
 
 
 def gl_block_entries(rep: Representation, kind: str = "A", level: int | None = None

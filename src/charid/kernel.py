@@ -136,10 +136,6 @@ class Tolerance:
     def threshold(self, scale: float = 0.0) -> float:
         return self.abs_eps + self.rel_eps * scale
 
-    def is_zero(self, m, *reference) -> bool:
-        scale = max_abs([max_abs(x) for x in reference or (m,)])
-        return max_abs(m) <= self.threshold(scale)
-
 
 def max_abs(m) -> float:
     """The largest |entry| of m, 0.0 if it is empty.  A NaN entry makes it

@@ -22,6 +22,7 @@ from charid.glrep import Representation, _exact_ratios, elementary_coefficient
 from charid.gtbasis import GTPattern, branch, check_highest_weight, pattern_weight
 from charid.kernel import ConsistencyError, Surd, commutator
 from charid.verify import run_suite
+from reference import ordinal
 
 DENSE_VERIFY_SHAPES = [(6, 6, 5, 0), (6, 1, 0, 0), (5, 5, 3, 0), (5, 2, 0, 0),
                        (4, 3, 3, 3, 0), (4, 1, 1, 1, 0)]
@@ -67,7 +68,7 @@ def _reference(lam):
 
 def _assert_matches_reference(lam):
     rep = Representation(lam)
-    patterns, ordinal, gen, surds = _reference(lam)
+    patterns, ordinals, gen, surds = _reference(lam)
     assert rep.generator_labels() == sorted(gen)
     for key, expected in gen.items():
         # the stored triplets are the row-major nonzeros of the dense
@@ -78,7 +79,7 @@ def _assert_matches_reference(lam):
         assert np.array_equal(values, expected[r, c]), (lam, key)
         assert np.array_equal(rep.gen(*key), expected), (lam, key)
     assert rep.patterns == patterns
-    assert rep.ordinal == ordinal
+    assert ordinal(rep) == ordinals
     assert rep.raising_surds == surds
     for k in surds:  # the same entries in the same order
         assert list(rep.raising_surds[k]) == list(surds[k])
@@ -141,7 +142,7 @@ def test_product_suites_never_build_patterns(suite):
     invariants and melcross rests on these staying unbuilt."""
     rep = Representation((2, 1, 1, 0))
     assert run_suite(suite, rep=rep).passed
-    for name in ("patterns", "ordinal", "raising_surds"):
+    for name in ("patterns", "raising_surds"):
         assert name not in rep.__dict__, name
 
 

@@ -18,9 +18,10 @@ from charid.charident import (
     elementary_square_from_invariants,
     elementary_square_table,
 )
-from charid.glrep import Representation, nonelementary_coefficient, nonelementary_magnitudes
+from charid.glrep import Representation, nonelementary_coefficient
 from charid.gtbasis import row_starts
 from charid.verify import run_suite
+from reference import nonelementary_magnitudes, ordinal
 
 SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-22, 7)]
 SWEEP = [lam for n in (3, 4)
@@ -31,12 +32,13 @@ LARGER = [(2, 1, 1, 0, 0), (3, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0)]
 def _reference_magnitudes(rep, l, n):
     expected = np.zeros((rep.dim, rep.dim))
     levels = range(n, l - 1, -1)
+    ordinals = ordinal(rep)
     for c, pattern in enumerate(rep.patterns):
         for shifts in itertools.product(*(range(1, level + 1) for level in levels)):
             target = pattern.shifted_many([(level, i, 1) for level, i in zip(levels, shifts)])
             if target is not None:
                 coeff = nonelementary_coefficient(pattern, l, n, shifts)
-                expected[rep.ordinal[target], c] = float(coeff)
+                expected[ordinals[target], c] = float(coeff)
     return expected
 
 

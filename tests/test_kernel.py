@@ -15,6 +15,7 @@ from charid.kernel import (
     rationalize,
     to_rational,
 )
+from reference import is_zero
 
 
 def test_matrix_power_zero_exponent_gives_identity():
@@ -41,7 +42,7 @@ def test_matrix_power_addition_law():
         a, b = rng.randint(0, 4), rng.randint(0, 4)
         lhs = matrix_power(m, a + b)
         rhs = matrix_power(m, a) @ matrix_power(m, b)
-        assert tol.is_zero(lhs - rhs, lhs, rhs)
+        assert is_zero(tol, lhs - rhs, lhs, rhs)
 
 
 def test_matrix_power_rejects_bad_input():
@@ -164,8 +165,8 @@ def test_tolerance_validation_and_scale():
     tol = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
     big = np.full((2, 2), 1e6)
     noise = np.full((2, 2), 1e-7)
-    assert tol.is_zero(noise, big)  # relative part carries it
-    assert not tol.is_zero(noise)
+    assert max_abs(noise) <= tol.threshold(max_abs(big))  # relative part carries it
+    assert not max_abs(noise) <= tol.threshold(max_abs(noise))
 
 
 def test_tolerance_rejects_vacuous_components():

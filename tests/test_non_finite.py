@@ -16,7 +16,7 @@ import charid.verify
 from charid.charident import Blocks
 from charid.cli import main
 from charid.glrep import Representation
-from charid.kernel import DomainError, Tolerance
+from charid.kernel import DomainError, Tolerance, max_abs
 from charid.verify import run_suite
 
 LAM = (3, 2, 1, 0)
@@ -85,7 +85,9 @@ def test_a_nan_in_a_later_stack_survives_the_fold():
     blocks = Blocks(3, (np.array([[0]]), np.array([[1, 2]])),
                     (np.full((1, 1, 1), 2.0), np.array([[[1.0, np.nan], [0.0, 1.0]]])))
     assert np.isnan(blocks.max_abs())
-    assert not Tolerance().is_zero(np.zeros(2), np.zeros(2), [0.0, np.nan])
+    scale = max_abs([max_abs(np.zeros(2)), max_abs([0.0, np.nan])])
+    assert np.isnan(scale)
+    assert not max_abs(np.zeros(2)) <= Tolerance().threshold(scale)
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,11 +23,11 @@ from charid.glrep import (
     _admissible_shifts,
     _cancelled_ratios,
     _layout,
-    nonelementary_magnitudes,
 )
 from charid.gtbasis import row_starts, table_interlaces
 from charid.kernel import ConsistencyError, Tolerance, max_abs
 from charid.verify import run_suite
+from reference import nonelementary_magnitudes
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -267,7 +267,7 @@ def test_a_negative_product_form_raises_in_the_scalar_words(monkeypatch):
     with pytest.raises(ConsistencyError,
                        match=rf"negative squared coefficient -\d+(/\d+)? for a_1,3 shifts "
                              rf"{re.escape(str(shifts))} on {re.escape(str(pattern.rows))}$"):
-        nonelementary_magnitudes(rep, 1, 2)
+        glrep._product_forms(rep, [(1, 2)])
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (3, 2, 2, 0), (2, 2, 1, 0, 0), (2, 1, 1, 0, 0, 0), GL7],
