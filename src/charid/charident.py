@@ -12,10 +12,10 @@ Lagrange products with operator nodes project onto branch components.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,15 +26,14 @@ from .kernel import (
     SchurViolationError,
     Tolerance,
     Triplets,
+    freeze,
     max_abs,
     rationalize,
 )
 from .glrep import (
     Representation,
     _cancelled_ratio,
-    _cancelled_ratios,
     _exact_products,
-    _exact_ratios,
     casimir_eigenvalue_formula,
     gl_block_entries,
     gl_block_matrix,  # unused here, kept as a name the benchmark's tracer wraps
@@ -49,10 +48,10 @@ from .gtbasis import (
     pattern_weight,  # unused here, kept as a name the benchmark's tracer wraps
     row_starts,
     rows_interlace,
-    table_labels,
     table_weights,
     weight,
 )
+from .blocks import Blocks
 
 KIND_A = "A"
 KIND_ABAR = "Abar"
@@ -68,138 +67,6 @@ class Root:
     value: Fraction
     constituent: Weight | None
     multiplicity: int
-
-
-# Below this many rows one dense product costs less than finding the
-# components and looping over their stacks, so such a matrix is held as a
-# single block.  Measured on 2 vCPUs, best of 40, whole against split
-# (split included).  Kind-Abar matrix with its identity and all projectors
-# (scalar nodes): 72 rows 0.30/0.42 ms, 81 rows 0.35/0.55, 90 rows
-# 0.44/0.38, 105 rows 0.57/0.51, 120 rows 0.70/0.38, 126 rows 0.82/0.42,
-# 144 rows 1.38/0.65.  Restricted matrices with every shift contraction
-# (operator nodes): 60 rows 0.65/1.04 ms, 84 rows 0.54/0.68, 96 rows
-# 1.57/1.55, 100 rows 2.51/1.84, 105 rows 3.51/1.71, 108 rows 1.31/1.40,
-# 120 rows 0.83/0.87, 128 rows 0.93/0.96, 135 rows 2.27/1.72, 160 rows
-# 5.87/2.57.  From 100 rows on only the gl(3) and gl(4) restrictions of
-# 108-128 rows (few, large blocks) are a little faster whole; the gl(5)
-# and gl(6) ones, among them the benchmark's gl(6) dim-21 invariants job
-# (105 restricted and 126 full rows), are up to twice as fast split.
-DENSE_BELOW = 100
-
-
-def _pattern_components(rows: np.ndarray, cols: np.ndarray, size: int
-                        ) -> tuple[np.ndarray, ...]:
-    """Connected components of the pattern of the entries (rows, cols) of a
-    size x size matrix, as one (k, b) table per component size b, each row
-    a component's indices in ascending order.  Every entry lies inside one
-    component."""
-    # Each state points at a state of its component; propagate the smallest
-    # pointer along the entries and jump pointers until nothing changes.
-    label = np.arange(size)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        np.minimum.at(new, cols, label[rows])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # Order the states by component size, then component, then index: each
-    # run of equal sizes b is then a (k, b) table of components.
-    size_of = np.bincount(label, minlength=size)[label]
-    order = np.lexsort((label, size_of))
-    runs = np.split(order, np.flatnonzero(np.diff(size_of[order])) + 1)
-    return tuple(run.reshape(-1, size_of[run[0]]) for run in runs)
-
-
-@dataclass(eq=False, repr=False)  # a frozen dataclass adds 1 ms to the import
-class Blocks:
-    """A square operator held as diagonal blocks.
-
-    The blocks are the connected components of the pattern of the
-    operator's nonzero (or stored) entries, or the whole matrix below
-    DENSE_BELOW rows; components of equal size b are stacked, so `index`
-    holds one (k, b) index array and `stacks` one (k, b, b) array per
-    size.  Every entry outside the blocks is zero.
-    """
-
-    size: int
-    index: tuple[np.ndarray, ...]
-    stacks: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     size: int) -> "Blocks":
-        """The blocks of the size x size matrix whose entries (rows, cols)
-        are values and all others zero, scattered without the dense matrix.
-        No position may come twice."""
-        if size < DENSE_BELOW:
-            whole = np.zeros((1, size, size))
-            whole[0, rows, cols] = values
-            return cls(size, (np.arange(size)[None, :],), (whole,))
-        index = _pattern_components(rows, cols, size)
-        # All stacks are views of one flat buffer.  Each state knows where
-        # its block starts in it, its place in the block and the block's
-        # width, so every entry lands with one assignment.
-        shapes = [i.shape + i.shape[1:] for i in index]
-        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        block_start, place, width = (np.empty(size, dtype=np.intp) for _ in range(3))
-        for i, start in zip(index, starts):
-            k, b = i.shape
-            block_start[i] = start + b * b * np.arange(k)[:, None]
-            place[i] = np.arange(b)
-            width[i] = b
-        flat = np.zeros(starts[-1])
-        flat[block_start[rows] + place[rows] * width[rows] + place[cols]] = values
-        return cls(size, index, tuple(flat[start:stop].reshape(shape) for shape, start, stop
-                                      in zip(shapes, starts, starts[1:])))
-
-    def like(self, stacks) -> "Blocks":
-        return Blocks(self.size, self.index, tuple(stacks))
-
-    @property
-    def whole(self) -> bool:
-        """One block covering the whole matrix, in index order."""
-        return len(self.stacks) == 1 and self.stacks[0].shape[0] == 1
-
-    def dense(self) -> np.ndarray:
-        if self.whole:
-            return self.stacks[0][0]
-        out = np.zeros((self.size, self.size))
-        for i, stack in zip(self.index, self.stacks):
-            out[i[:, :, None], i[:, None, :]] = stack
-        return out
-
-    def corner(self, start: int) -> Triplets:
-        """The block entries of the bottom-right square [start:, start:] of
-        the matrix, as (row, col, value) counted from start; every other
-        entry of the square is zero, and its whole diagonal is among them."""
-        parts = []
-        for i, stack in zip(self.index, self.stacks):
-            inside = i >= start
-            pick = inside[:, :, None] & inside[:, None, :]
-            at = np.broadcast_to(i[:, :, None] - start, stack.shape)
-            parts.append((at[pick], np.swapaxes(at, 1, 2)[pick], stack[pick]))
-        return Triplets(*(np.concatenate(a) for a in zip(*parts)))
-
-    def matmul(self, other: np.ndarray) -> np.ndarray:
-        """self @ other, for a dense other with self.size rows."""
-        if self.whole:
-            return self.stacks[0][0] @ other
-        out = np.empty((self.size,) + other.shape[1:])
-        for i, stack in zip(self.index, self.stacks):
-            out[i] = stack @ other[i]
-        return out
-
-    def transposed(self) -> "Blocks":
-        """The transposed operator, on views of the same stacks."""
-        return self.like(stack.swapaxes(1, 2) for stack in self.stacks)
-
-    def trace(self) -> float:
-        return float(sum(np.trace(s, axis1=1, axis2=2).sum() for s in self.stacks))
-
-    def max_abs(self) -> float:
-        return max_abs([max_abs(s) for s in self.stacks])
 
 
 @dataclass(frozen=True)
@@ -403,43 +270,36 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None) -> tuple[R
     return tuple(out)
 
 
-def _blocked_product(blocks: Blocks, nodes, target=None, with_scale: bool = False):
+def _blocked_product(blocks: Blocks, nodes, with_scale: bool = False):
     """Ordered product of the factors (blocks - node), left to right, on
     each stack of equal-size blocks as one batch, as Blocks.
 
     A node is a scalar root (an exact Fraction, converted to float once
-    here, not once per stack), subtracted from every diagonal entry, or an
-    operator root, a dense diagonal (float vector of length blocks.size)
-    cut into the blocks.  A target, for operator nodes only, divides each
-    partial product column-wise by its node's quotient target - node,
-    which makes the product the Lagrange projector onto it; scalar nodes
-    go through build_projectors.  No nodes give the identity.  With
-    with_scale, returns (product, the largest absolute entry of any factor
-    over all stacks, 0 for no nodes): the scale of an identity's residual.
+    here, not once per stack), subtracted from every diagonal entry.  No
+    nodes give the identity.  With with_scale, returns (product, the
+    largest absolute entry of any factor over all stacks, 0 for no
+    nodes): the scale of an identity's residual.
 
     Each stack's factor and two product buffers are allocated once and
     reused; fresh matrices per factor left the heap up to two matrices
     larger.
     """
-    quotients = None if target is None else [target - node for node in nodes]
-    nodes = [node if isinstance(node, np.ndarray) else float(node) for node in nodes]
+    nodes = [float(node) for node in nodes]
     parts, scales = [], []
-    for index, stack in zip(blocks.index, blocks.stacks):
+    for stack in blocks.stacks:
         b = stack.shape[-1]
         factor = np.empty(stack.shape)
         factor_diagonal = factor.reshape(stack.shape[:-2] + (b * b,))[..., ::b + 1]
         product = spare = None
-        for k, node in enumerate(nodes):
+        for node in nodes:
             np.copyto(factor, stack)
-            factor_diagonal -= node[index] if isinstance(node, np.ndarray) else node
+            factor_diagonal -= node
             if with_scale:
                 scales.append(max_abs(factor))
             if product is None:
                 product, spare = factor.copy(), np.empty(stack.shape)
             else:
                 product, spare = np.matmul(product, factor, out=spare), product
-            if quotients is not None:
-                product /= quotients[k][index][..., None, :]
         if product is None:
             product = np.empty(stack.shape)
             product[...] = np.eye(b)
@@ -599,43 +459,10 @@ def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
 # ---------------------------------------------------------------------------
 # Operator-valued roots on the gl(n) restriction of a gl(n+1) module.
 
-def _table_roots(rep: Representation, level: int) -> list[np.ndarray]:
-    """_roots of row `level` of every basis pattern, one int64 column per
-    label, on label offsets from lam_N: the closed forms take differences
-    of roots only, so lam_N drops out of every factor."""
-    start = row_starts(rep.N)[level]
-    return _roots(list(rep.table[:, start:start + level].T))
-
-
-def _row_labels(rep: Representation, level: int) -> np.ndarray:
-    """The labels of row `level` of every basis pattern as floats, one row
-    per label: (level, d)."""
-    start = row_starts(rep.N)[level]
-    return table_labels(rep.weight, rep.table[:, start:start + level].T, float)
-
-
-def _restricted_matrix(rep: Representation, level: int, kind: str, labels: np.ndarray
-                       ) -> tuple[Blocks, list[np.ndarray]]:
-    """The gl(level) characteristic matrix of the restriction, held as
-    blocks, and its operator nodes.  Node k is the k-th root of the
-    subalgebra as a diagonal operator, read from the k-th label of each
-    basis vector's row `level` (labels, from _row_labels), repeated over
-    the level block rows."""
-    blocks = Blocks.from_entries(*gl_block_entries(rep, kind, level=level))
-    k = np.arange(1, level + 1)[:, None]
-    roots = labels + (level - k) if kind == KIND_A else (k - 1) - labels
-    return blocks, list(np.tile(roots, level))
-
-
-def _restricted_product(blocks: Blocks, nodes: list[np.ndarray], r: int) -> Blocks:
-    """The r-th restricted projector: the Lagrange product over every node
-    but the r-th, which is the target."""
-    return _blocked_product(blocks, nodes[:r - 1] + nodes[r:], target=nodes[r - 1])
-
-
 def restricted_projector(rep: Representation, level: int, r: int,
                          kind: str) -> np.ndarray:
-    """Projector component of the subalgebra characteristic matrix.
+    """Projector component of the subalgebra characteristic matrix, as a
+    dense matrix: entry r - 1 of _restricted_projectors.
 
     The interpolation nodes are diagonal operators built from the row-level
     pattern labels; they commute with the subalgebra blocks, and within each
@@ -644,8 +471,12 @@ def restricted_projector(rep: Representation, level: int, r: int,
     """
     if not 1 <= r <= level:
         raise DomainError(f"component index {r} outside 1..{level}")
-    return _restricted_product(
-        *_restricted_matrix(rep, level, kind, _row_labels(rep, level)), r).dense()
+    from .shifts import _restricted_matrices, _restricted_projectors  # on first use (see charid.shifts)
+
+    if kind not in (KIND_A, KIND_ABAR):
+        raise DomainError(f"unknown kind {kind!r}")
+    projectors = _restricted_projectors(*_restricted_matrices(rep, level)[kind == KIND_ABAR])
+    return projectors.like(stack[r - 1] for stack in projectors.stacks).dense()
 
 
 @dataclass(eq=False, repr=False)  # a frozen dataclass adds 1 ms to the import
@@ -656,9 +487,8 @@ class ShiftContraction:
 
     components[j - 1] is psi[n;r]_j = sum_i psi_i Pbar[n;r]_ij, an (n, d, d)
     array.  The contraction residual is its largest disagreement with the
-    other route, sum_i P[n;r]_ji psi_i, which is not kept; the support
-    residual is the largest entry of the components off the shift
-    mu -> mu + D_r of row n.
+    other route, sum_i P[n;r]_ji psi_i; the support residual is the largest
+    entry of the components off the shift mu -> mu + D_r of row n.
     """
 
     r: int
@@ -669,84 +499,30 @@ class ShiftContraction:
     support_residual: float
 
 
-def raising_column(rep: Representation) -> np.ndarray:
-    """psi_j = a_{j,N} for j = 1..N-1 as one (N-1, d, d) array, scattered
-    from the module's triplet table."""
-    psi = np.zeros((rep.N - 1, rep.dim, rep.dim))
-    for j, psi_j in enumerate(psi, start=1):
-        rows, cols, values = rep.triplets(j, rep.N)
-        psi_j[rows, cols] = values
-    return psi
-
-
-def shift_contractions(rep: Representation, psi: np.ndarray, rs
-                       ) -> Iterator[ShiftContraction]:
-    """The ShiftContraction of each r in rs, one at a time, for the raising
-    column psi = raising_column(rep).
-
-    The restricted characteristic matrices and their operator nodes are
-    built once for all r.  Each r makes its pair of projectors and two
-    products on their blocks (whole-array for a single block, one batched
-    product per stack of equal blocks otherwise): Pbar^T [psi_1^T; ...;
-    psi_n^T], whose block j is psi[n;r]_j^T, and P [psi_1; ...; psi_n],
-    block j sum_i P_ji psi_i, let go once the contraction residual is read.
-    """
-    n, d = rep.N - 1, rep.dim
-    if n < 1:
-        raise DomainError("shift components need a gl(n+1) module with n >= 1")
-    psi_rows = psi.reshape(n * d, d)
-    psi_cols = psi.swapaxes(1, 2).reshape(n * d, d)
-    labels = _row_labels(rep, n)
-    ids = _row_shift_ids(rep)
-    matrix, matrix_bar = (_restricted_matrix(rep, n, kind, labels) for kind in (KIND_A, KIND_ABAR))
-    for r in rs:
-        if not 1 <= r <= n:
-            raise DomainError(f"component index {r} outside 1..{n}")
-        p = _restricted_product(*matrix, r)
-        pbar = _restricted_product(*matrix_bar, r)
-        components = pbar.transposed().matmul(psi_cols).reshape(n, d, d).swapaxes(1, 2)
-        cross = p.matmul(psi_rows).reshape(n, d, d)
-        cross -= components
-        contraction = max_abs(cross)
-        del cross
-        yield ShiftContraction(r, components, p, pbar, contraction,
-                               _support_residual(ids, r, components))
-
-
 def shift_components(rep: Representation, r: int) -> ShiftContraction:
-    """Project the vector operator psi_j = a_{j,n+1} onto its r-th component.
+    """Project the vector operator psi_j = a_{j,n+1} onto its r-th
+    component: the batch of ShiftBatch for this one r, with the components
+    scattered into a dense (n, d, d) array.
 
     Both contraction routes are computed, psi_i Pbar[n;r]_{ij} and
     P[n;r]_{ji} psi_i; their disagreement and the off-shift support (entries
     connecting row-n weights other than mu -> mu + D_r) are reported as
-    residuals.  The restricted projectors P[n;r] and Pbar[n;r] built on the
-    way are handed back as blocks p and pbar.  shift_contractions for one r.
+    residuals.  The restricted projectors P[n;r] and Pbar[n;r] are handed
+    back as blocks p and pbar.
     """
-    (sc,) = shift_contractions(rep, raising_column(rep), (r,))
-    return sc
+    from .shifts import ShiftBatch  # on first use (see charid.shifts)
 
-
-def _row_shift_ids(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
-    """An id for the row n of each basis vector, equal for equal label
-    offsets, (d,), and for each r the id of that row plus e_r, (n, d).  A
-    raised row that is no branch gets an id no row n has."""
-    n = rep.N - 1
-    start = row_starts(rep.N)[n]
-    rows_n = rep.table[:, start:start + n]
-    raised = rows_n + np.eye(n, dtype=rows_n.dtype)[:, None, :]
-    _, ids = np.unique(np.concatenate((rows_n[None], raised)).reshape(-1, n), axis=0,
-                       return_inverse=True)
-    ids = ids.reshape(n + 1, rep.dim)
-    return ids[0], ids[1:]
-
-
-def _support_residual(ids: tuple[np.ndarray, np.ndarray], r: int, components) -> float:
-    """Largest |entry| of the components off the shift mu -> mu + D_r of
-    row n: a column may reach only the rows whose id (from _row_shift_ids)
-    is that of its row n + e_r."""
-    row_id, raised = ids
-    off_shift = row_id[:, None] != raised[r - 1][None, :]
-    return max_abs(np.asarray(components)[:, off_shift])
+    batch = ShiftBatch(rep)
+    if not 1 <= r <= batch.n:
+        raise DomainError(f"component index {r} outside 1..{batch.n}")
+    (comps,), (other,) = batch.sums(slice(r - 1, r))
+    off = batch.key_steps != batch.steps[r - 1]
+    dense = np.zeros(batch.n * batch.d * batch.d)
+    dense[batch.keys] = comps
+    p, pbar = (blocks.like(stack[r - 1] for stack in blocks.stacks)
+               for blocks in (batch.p, batch.pbar))
+    return ShiftContraction(r, dense.reshape(batch.n, batch.d, batch.d), p, pbar,
+                            max_abs(comps - other), max_abs(comps[off]))
 
 
 # ---------------------------------------------------------------------------
@@ -762,25 +538,79 @@ def _check_branch_pair(lam_top, lam_sub) -> tuple[Weight, Weight]:
     return lam_top, lam_sub
 
 
-def _c_factors(tops, subs, k: int, bar: bool):
-    """(sign, numerator, denominator) factor lists of C_{k,n+1}, or of
-    Cbar_{k,n+1} when bar, from the top roots and the branch roots."""
-    a = tops[k - 1]
-    shifted = a if bar else a - 1
-    num = [shifted - alpha for alpha in subs]
-    den = [a - alpha for p, alpha in enumerate(tops, start=1) if p != k]
-    return 1, num, den
+class _InvariantLayout(NamedTuple):
+    """Read-only factor templates of the closed forms of the gl(N-1) <
+    gl(N) pair, the same for every module of gl(N).
+
+    A pattern's roots are those of its rows N, n = N - 1 and n - 1, in that
+    order (_roots of each).  Each factor is roots[a] - roots[b] + c for a
+    template (a, b, c); factors, (forms, 2, width, 3), holds every form's
+    numerator and denominator factors, padded with the factor 1 to one
+    more than the widest, and signs each form's sign.  The forms are, with
+    tops, subs and lows the roots of the three rows and k, r the form's
+    index:
+    - C_{k,n+1}: prod_a (tops_k - 1 - subs_a) / prod_{p != k} (tops_k -
+      tops_p), and Cbar_{k,n+1} with tops_k for tops_k - 1, k = 1..N each;
+    - M_{r,n}: (-1)^n prod_q (tops_q - subs_r - 1) / prod_{l != r} (subs_r +
+      1 - subs_l), and Mbar_{r,n}: (-1)^n prod_q (tops_q - subs_r) /
+      prod_{l != r} (subs_r - 1 - subs_l), r = 1..n each;
+    - MCbar_r: M_{r,n} times Cbar_{r,n} of rows n and n - 1, prod_a (subs_r
+      - lows_a) / prod_{p != r} (subs_r - subs_p), the promised square of
+      the top-level ladder coefficient.
+    forms holds the slice of forms of each name; columns and offsets give
+    the roots of a pattern table row as table[:, columns] + offsets.
+    """
+
+    forms: dict
+    signs: np.ndarray
+    factors: np.ndarray
+    columns: np.ndarray
+    offsets: np.ndarray
 
 
-def _m_factors(tops, subs, r: int, bar: bool):
-    """(sign, numerator, denominator) factor lists of M_{r,n}, or of
-    Mbar_{r,n} when bar, from the top roots and the branch roots."""
-    a = subs[r - 1]
-    num_shifted = a if bar else a + 1
-    den_shifted = a - 1 if bar else a + 1
-    num = [alpha - num_shifted for alpha in tops]
-    den = [den_shifted - alpha for l, alpha in enumerate(subs, start=1) if l != r]
-    return (-1 if len(subs) % 2 else 1), num, den
+@lru_cache(maxsize=64)
+def _invariant_layout(N: int) -> _InvariantLayout:
+    """The _InvariantLayout of gl(N - 1) < gl(N)."""
+    n = N - 1
+    top, sub, low = range(N), range(N, N + n), range(N + n, N + 2 * n - 1)
+    forms, signs, factors = {}, [], []
+
+    def add(name, sign, rows):
+        forms[name] = slice(len(signs), len(signs) + len(rows))
+        signs.extend([sign] * len(rows))
+        factors.extend(rows)
+
+    sign = -1 if n % 2 else 1
+    for name, c in (("C", -1), ("Cbar", 0)):
+        add(name, 1, [([(k, a, c) for a in sub], [(k, p, 0) for p in top if p != k])
+                      for k in top])
+    for name, c in (("M", 1), ("Mbar", -1)):
+        add(name, sign, [([(q, r, -(c > 0)) for q in top], [(r, l, c) for l in sub if l != r])
+                         for r in sub])
+    add("MCbar", sign, [([(q, r, -1) for q in top] + [(r, a, 0) for a in low],
+                         [(r, l, 1) for l in sub if l != r] + [(r, p, 0) for p in sub if p != r])
+                        for r in sub])
+    width = max(len(part) for row in factors for part in row) + 1
+    starts = row_starts(N)
+    levels = [(level, i) for level in (N, n, n - 1) for i in range(level)]
+    return _InvariantLayout(
+        forms=forms, signs=freeze(np.array(signs)),
+        factors=freeze(np.array([[part + [(0, 0, 1)] * (width - len(part)) for part in row]
+                                 for row in factors], dtype=np.int64).reshape(-1, 2, width, 3)),
+        columns=freeze(np.array([starts[level] + i for level, i in levels], dtype=np.intp)),
+        offsets=freeze(np.array([level - 1 - i for level, i in levels], dtype=np.int64)))
+
+
+def _scalar_factors(form: str, index: int, *rows):
+    """The (sign, numerator, denominator) factor lists of one closed form of
+    _invariant_layout at index k or r (from 1), on pattern rows of
+    Fractions, top row first (rows a form reads no root of may be left
+    out)."""
+    layout = _invariant_layout(len(rows[0]))
+    roots = [root for row in rows for root in _roots(row)]
+    f = layout.forms[form].start + index - 1
+    return int(layout.signs[f]), *([roots[a] - roots[b] + c for a, b, c in part]
+                                   for part in layout.factors[f].tolist())
 
 
 def _factor_ratio(factors, degenerate: str) -> Fraction:
@@ -800,31 +630,8 @@ def invariant_C_eigenvalue(lam_top, lam_sub, k: int, kind: str = "C") -> Fractio
         raise DomainError(f"index {k} outside 1..{len(lam_top)}")
     if kind not in ("C", "Cbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    factors = _c_factors(_roots(lam_top), _roots(lam_sub), k, bar=kind == "Cbar")
-    return _factor_ratio(factors, f"coincident characteristic roots of {lam_top}")
-
-
-def invariant_C_sums(rep: Representation) -> tuple[np.ndarray, np.ndarray, int]:
-    """sum_k C_{k,n+1} on every branch of the module, exactly.
-
-    Returns the distinct row-n label offsets (one row per branch), the
-    numerator of each branch's sum (Python ints) and their common
-    denominator, the lcm of the k-th factor denominators.  The factors are
-    those of invariant_C_eigenvalue, on int64 root columns.
-    """
-    n = rep.N - 1
-    starts = row_starts(rep.N)
-    rows_n = rep.table[:, starts[n]:starts[n] + n]
-    branches = np.array(sorted(set(map(tuple, rows_n.tolist()))), dtype=np.int64)
-    tops = _roots(rep.table[0, starts[rep.N]:starts[rep.N] + rep.N].tolist())
-    subs = _roots(list(branches.T))
-    parts = []
-    for k in range(1, rep.N + 1):
-        sign, num, den = _c_factors(tops, subs, k, bar=False)
-        parts.append((np.prod(np.array(num, dtype=object), axis=0, initial=sign), math.prod(den)))
-    common = math.lcm(*(den for _, den in parts))
-    total = sum(num * (common // den) for num, den in parts)
-    return branches, total, common
+    return _factor_ratio(_scalar_factors(kind, k, lam_top, lam_sub),
+                         f"coincident characteristic roots of {lam_top}")
 
 
 def invariant_M_eigenvalue(lam_top, lam_sub, r: int, kind: str = "M") -> Fraction:
@@ -835,9 +642,8 @@ def invariant_M_eigenvalue(lam_top, lam_sub, r: int, kind: str = "M") -> Fractio
         raise DomainError(f"index {r} outside 1..{len(lam_sub)}")
     if kind not in ("M", "Mbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    factors = _m_factors(_roots(lam_top), _roots(lam_sub), r, bar=kind == "Mbar")
-    return _factor_ratio(
-        factors, f"degenerate denominator for M invariant r={r} on {lam_sub}")
+    return _factor_ratio(_scalar_factors(kind, r, lam_top, lam_sub),
+                         f"degenerate denominator for M invariant r={r} on {lam_sub}")
 
 
 def elementary_square_from_invariants(pattern, r: int) -> Fraction:
@@ -853,89 +659,108 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
         raise DomainError("needs a pattern with at least two rows")
     if not 1 <= r <= n:
         raise DomainError(f"index {r} outside 1..{n}")
-    tops = _roots(pattern.row(n + 1))
-    subs = _roots(pattern.row(n))
-    lows = _roots(pattern.row(n - 1)) if n > 1 else []
-    m_sign, m_num, m_den = _m_factors(tops, subs, r, bar=False)
-    c_sign, c_num, c_den = _c_factors(subs, lows, r, bar=True)
-    return _cancelled_ratio(m_sign * c_sign, m_num + c_num, m_den + c_den,
+    rows = [pattern.row(level) for level in range(n + 1, max(n - 2, 0), -1)]
+    return _cancelled_ratio(*_scalar_factors("MCbar", r, *rows),
                             f"M*Cbar product r={r} on {pattern.rows}")
 
 
-def elementary_square_table(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
-    """elementary_square_from_invariants of every basis pattern and every
-    r, as exact numerators and denominators (int64, or Python ints where a
-    product may reach 2**53), both (d, n) with column r - 1 for r, from
-    the same factor lists on the table in one exact batch."""
-    n = rep.N - 1
+class InvariantTables(NamedTuple):
+    """The closed forms of the invariants suite on every basis pattern,
+    from its row-n labels (and row n - 1 for the squares); see
+    invariant_tables."""
+
+    branches: int  # distinct rows n
+    c_sums: np.ndarray  # (d,) Python ints: sum_k C_{k,n+1} is c_sums / c_common
+    c_common: int
+    cbar: np.ndarray  # (N, d) floats, row k - 1 for Cbar_{k,n+1}
+    norm_nums: np.ndarray  # (2, n, d) floats, [bar][r - 1] for M_{r,n} or Mbar_{r,n}
+    norm_dens: np.ndarray
+    square_nums: np.ndarray  # (d, n) exact M*Cbar products, column r - 1
+    square_dens: np.ndarray
+    cross: tuple | None  # (p t, s q) of each pair given, exact
+
+
+def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
+    """Every closed form the invariants suite reads, in one exact batch:
+    C_{k,n+1} and Cbar_{k,n+1} for every k, M_{r,n} and Mbar_{r,n} for
+    every r, and the product M_{r,n} Cbar_{r,n} of
+    elementary_square_from_invariants for every r, each on every basis
+    pattern.
+
+    The factors of every form come from the templates of
+    _invariant_layout, which the scalar forms invariant_C_eigenvalue,
+    invariant_M_eigenvalue and elementary_square_from_invariants read too,
+    applied to the int64 roots of every pattern at once: one (patterns,
+    forms, 2, width) array of numerator and denominator factors, padded
+    with factors 1, which one _exact_products pass multiplies: int64 while
+    no product can reach 2**53, Python ints otherwise.  Only the M*Cbar
+    rows cancel paired zero factors (as _cancelled_ratios); an unmatched
+    zero denominator factor raises the scalar form's error on the first
+    such pattern, r before pattern.  A Cbar value is the correctly rounded
+    quotient of its exact products, and M and Mbar are returned as
+    numerator and denominator floats, so operator identities can be
+    checked with cleared denominators where the denominator vanishes.
+
+    pairs, (cols, r - 1, s, t) of equal lengths, adds the cross products
+    of ratios s/t against the M*Cbar product p/q of pattern cols at r: the
+    rows of p and q, each with one factor more, t and s, so that the pass
+    gives p t and s q, the products glrep._exact_products takes.
+    """
+    n, N, d = rep.N - 1, rep.N, rep.dim
     if n < 1:
         raise DomainError("needs a gl(n+1) module with n >= 1")
-    tops, subs, lows = (_table_roots(rep, level) for level in (n + 1, n, n - 1))
-
-    def factors(r):
-        m_sign, m_num, m_den = _m_factors(tops, subs, r, bar=False)
-        c_sign, c_num, c_den = _c_factors(subs, lows, r, bar=True)
-        return m_sign * c_sign, m_num + c_num, m_den + c_den
-
-    nums, dens, _, unmatched = _cancelled_ratios(
-        *_stacked_columns(map(factors, range(1, n + 1)), rep.dim))
-    if unmatched.any():  # the scalar form raises on the first such pattern
-        r, c = divmod(int(np.flatnonzero(unmatched)[0]), rep.dim)
-        elementary_square_from_invariants(rep.patterns[c], r + 1)
-    return nums.reshape(n, rep.dim).T, dens.reshape(n, rep.dim).T
-
-
-def _columns(factors, d: int) -> np.ndarray:
-    """A list of per-pattern factor columns as one (d, len) int64 array."""
-    return np.array(factors, dtype=np.int64).reshape(-1, d).T
-
-
-def _stacked_columns(forms, d: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The (sign, num, den) factor lists of several closed forms that share
-    their sign, each made _columns and stacked form after form: the sign
-    and one (forms * d, len) int64 array each for num and den."""
-    forms = list(forms)
-    (sign,) = {sign for sign, _, _ in forms}
-    return (sign, np.concatenate([_columns(num, d) for _, num, _ in forms]),
-            np.concatenate([_columns(den, d) for _, _, den in forms]))
-
-
-def norm_invariant_table(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of the M and Mbar invariants per basis
-    vector, evaluated on each pattern's row-n labels, for every r in one
-    exact batch: two (2, n, d) float arrays, [bar][r - 1].
-
-    Returned separately so operator identities can be checked with cleared
-    denominators on patterns where the denominator vanishes.
-    """
-    n = rep.N - 1
-    tops, subs = _table_roots(rep, rep.N), _table_roots(rep, n)
-    nums, dens = _exact_products(*_stacked_columns(
-        (_m_factors(tops, subs, r, bar) for bar in (False, True) for r in range(1, n + 1)),
-        rep.dim))
-    return (nums.astype(float).reshape(2, n, rep.dim),
-            dens.astype(float).reshape(2, n, rep.dim))
+    layout = _invariant_layout(N)
+    forms, F = layout.forms, len(layout.signs)
+    roots = rep.table[:, layout.columns] + layout.offsets
+    t = layout.factors
+    factors = roots[:, t[..., 0]] - roots[:, t[..., 1]] + t[..., 2]  # (d, F, 2, width)
+    squares = factors[:, forms["MCbar"]]
+    zeros = squares == 0
+    counts = zeros.sum(axis=3)  # (d, n, 2): zero numerator and denominator factors
+    squares[zeros] = 1
+    znum, zden = counts[..., 0], counts[..., 1]
+    if (znum < zden).any():  # the scalar form raises on the first, r before pattern
+        r, c = np.argwhere((znum < zden).T)[0]
+        elementary_square_from_invariants(rep.patterns[c], int(r) + 1)
+    signs = np.broadcast_to(layout.signs, (d, F)).ravel()
+    factors = factors.reshape(d * F, 2, -1)
+    if pairs is not None:
+        cols, move, s, t = pairs
+        rows = cols * F + forms["MCbar"].start + move
+        factors = np.concatenate((factors, factors[rows]), dtype=np.result_type(factors, s, t))
+        factors[d * F:, :, -1] = np.stack((t, s), axis=1)
+        signs = np.concatenate((signs, signs[rows]))
+    nums, dens = _exact_products(signs, factors[:, 0], factors[:, 1])
+    zero = znum > zden
+    nums_of, dens_of = nums[:d * F].reshape(d, F), dens[:d * F].reshape(d, F)
+    nums_of[:, forms["MCbar"]][zero] = 0
+    if pairs is not None:
+        nums[d * F:][zero[cols, move]] = 0
+    c_dens = dens_of[0, forms["C"]].tolist()
+    common = math.lcm(*c_dens)
+    c_sums = sum(nums_of[:, forms["C"].start + k].astype(object) * (common // den)
+                 for k, den in enumerate(c_dens))
+    norm = slice(forms["M"].start, forms["Mbar"].stop)
+    top = rep.table[0, :N].tolist()  # the top row comes first
+    return InvariantTables(
+        branches=math.prod(a - b + 1 for a, b in zip(top, top[1:])),
+        c_sums=c_sums, c_common=common,
+        cbar=np.asarray(nums_of[:, forms["Cbar"]] / dens_of[:, forms["Cbar"]], dtype=float).T,
+        norm_nums=nums_of[:, norm].T.astype(float).reshape(2, n, d),
+        norm_dens=dens_of[:, norm].T.astype(float).reshape(2, n, d),
+        square_nums=nums_of[:, forms["MCbar"]], square_dens=dens_of[:, forms["MCbar"]],
+        cross=None if pairs is None else (nums[d * F:], dens[d * F:]))
 
 
 def norm_invariant_diagonals(rep: Representation, r: int, bar: bool
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Entry [bar][r - 1] of norm_invariant_table: the M (or Mbar)
-    invariant's numerator and denominator per basis vector."""
-    nums, dens = norm_invariant_table(rep)
-    return nums[int(bar), r - 1], dens[int(bar), r - 1]
-
-
-def cbar_diagonal_table(rep: Representation) -> np.ndarray:
-    """Closed-form Cbar_{k,n+1} value per basis vector (row-n labels) for
-    every k in one exact batch, (N, d) with row k - 1 for k."""
-    tops, subs = _table_roots(rep, rep.N), _table_roots(rep, rep.N - 1)
-    sign, num, den = _stacked_columns(
-        (_c_factors(tops, subs, k, bar=True) for k in range(1, rep.N + 1)), rep.dim)
-    if not den.all():
-        raise DegenerateRootError(f"coincident characteristic roots of {rep.weight}")
-    return _exact_ratios(sign, num, den)[2].reshape(rep.N, rep.dim)
+    """The M (or Mbar) invariant's numerator and denominator per basis
+    vector for one r, from invariant_tables."""
+    tables = invariant_tables(rep)
+    return tables.norm_nums[int(bar), r - 1], tables.norm_dens[int(bar), r - 1]
 
 
 def cbar_diagonal(rep: Representation, k: int) -> np.ndarray:
-    """Row k - 1 of cbar_diagonal_table."""
-    return cbar_diagonal_table(rep)[k - 1]
+    """The closed-form Cbar_{k,n+1} value per basis vector for one k, from
+    invariant_tables."""
+    return invariant_tables(rep).cbar[k - 1]

@@ -373,6 +373,15 @@ def _admissible_shifts(table: np.ndarray, layout: _Layout):
     return ranges, sources, shifts
 
 
+# The most factor entries _product_forms takes through _cancelled_ratios at
+# once: its entries go in blocks of rows, so its peak holds the factors of
+# one block.  A dim-1024 melcross job, 10 984 entries of 30 factors, takes
+# six blocks and peaks 2.7 MiB above the module under tracemalloc (9.3 MiB
+# in one block); the build's ladders and the melcross product forms of
+# every benchmark module fit one block.
+PRODUCT_ENTRIES = 2 ** 16
+
+
 def _product_forms(rep: "Representation", ranges):
     """The squared closed product form of every admissible (pattern, shift
     combination) of every level range (l, n) of ranges, in one exact
@@ -380,17 +389,33 @@ def _product_forms(rep: "Representation", ranges):
     l = n the ladder coefficient of elementary_coefficient.
 
     Every entry takes the factors of every level (_Layout.factors), those
-    of levels outside its range set to 1, and the sign of its range.  One
-    _cancelled_ratios pass gives every exact numerator and denominator and
-    the correctly rounded float quotient.  Returns (owner, cols, rows,
-    nums, dens, values), one entry per admissible combination in the order
-    of _admissible_shifts: its range's index in ranges, its source and
-    target ordinals, and its exact square with that square's float.  A
+    of levels outside its range set to 1, and the sign of its range.
+    _cancelled_ratios passes, one per block of at most PRODUCT_ENTRIES
+    factors, give every exact numerator and denominator and the correctly
+    rounded float quotient; each block's products are int64 or Python ints
+    on their own, the same integers either way.  Returns (owner, cols,
+    rows, nums, dens, values), one entry per admissible combination in the
+    order of _admissible_shifts: its range's index in ranges, its source
+    and target ordinals, and its exact square with that square's float.  A
     square the scalar forms reject (an unmatched zero denominator factor,
     or a negative one) raises their error on the first.
     """
-    table, layout = rep.table, _layout(rep.N, tuple(ranges))
-    owner, cols, shifts = _admissible_shifts(table, layout)
+    layout = _layout(rep.N, tuple(ranges))
+    owner, cols, shifts = _admissible_shifts(rep.table, layout)
+    step = max(1, PRODUCT_ENTRIES // len(layout.factors[0]))
+    blocks = [_product_block(rep, layout, ranges, owner[lo:lo + step], cols[lo:lo + step],
+                             shifts[lo:lo + step])
+              for lo in range(0, max(len(cols), 1), step)]
+    return (owner, cols, *blocks[0]) if len(blocks) == 1 else (
+        owner, cols, *(np.concatenate(part) for part in zip(*blocks)))
+
+
+def _product_block(rep: "Representation", layout: _Layout, ranges, owner: np.ndarray,
+                   cols: np.ndarray, shifts: np.ndarray):
+    """(rows, nums, dens, values) of _product_forms for one block of its
+    entries, each given by its range's index, its source ordinal and its
+    shifts."""
+    table = rep.table
     sources = table[cols]
     # the flat index in sources of each level's raised label x, and x - r - 1
     # (junk at levels outside the range)
@@ -427,7 +452,7 @@ def _product_forms(rep: "Representation", ranges):
             f"negative squared coefficient {Fraction(int(nums[i]), int(dens[i]))} "
             f"for {where} on {pattern.rows}")
     sources.ravel()[raised[shifts >= 0]] += 1  # now the targets
-    return owner, cols, rep._ordinals(sources), nums, dens, values
+    return rep._ordinals(sources), nums, dens, values
 
 
 def _block_diagonal(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,

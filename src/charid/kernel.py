@@ -143,7 +143,7 @@ def max_abs(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def _require_finite(m, what: str):
@@ -215,6 +215,26 @@ def join(keys: np.ndarray, starts: np.ndarray, first: np.ndarray | None = None,
     probe = np.repeat(np.arange(len(keys)), found)
     at = np.repeat(lo + found - np.cumsum(found), found) + np.arange(len(probe))
     return probe, at
+
+
+def entry_index(keys: np.ndarray, bound: int) -> tuple[int, np.ndarray]:
+    """(size, inverse) of np.unique(keys, return_inverse=True) for keys in
+    0..bound-1: one sort of the keys with each position packed into the
+    low bits, about twice as fast as the argsort behind np.unique."""
+    n = len(keys)
+    bits = n.bit_length()
+    if bound << bits > 2 ** 63:
+        entries, inverse = np.unique(keys, return_inverse=True)
+        return len(entries), inverse
+    packed = np.sort(keys << bits | np.arange(n))
+    ordered = packed >> bits
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    count = np.cumsum(new)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[packed & ((1 << bits) - 1)] = count - 1
+    return int(count[-1]) if n else 0, inverse
 
 
 def rationalize(x: float, tol: Tolerance) -> Fraction:

@@ -13,6 +13,7 @@ from .kernel import (
     DomainError,
     Tolerance,
     commutator,  # unused here, kept as a name the benchmark's tracer wraps
+    entry_index,
     join,
     max_abs,
     offsets,
@@ -25,7 +26,6 @@ from .gtbasis import (
 )
 from .glrep import (
     Representation,
-    _exact_products,
     _product_forms,
     nonelementary_coefficient,  # unused here, kept as a name the benchmark's tracer wraps
 )
@@ -38,17 +38,12 @@ from .charident import (
     build_projector,  # unused here, kept as a name the benchmark's tracer wraps
     build_projectors,
     cbar_diagonal,  # unused here, kept as a name the benchmark's tracer wraps
-    cbar_diagonal_table,
     elementary_square_from_invariants,  # unused here, kept as a name the benchmark's tracer wraps
-    elementary_square_table,
     invariant_C_eigenvalue,  # unused here, kept as a name the benchmark's tracer wraps
-    invariant_C_sums,
+    invariant_tables,
     norm_invariant_diagonals,  # unused here, kept as a name the benchmark's tracer wraps
-    norm_invariant_table,
-    raising_column,
     restricted_projector,  # unused here, kept as a name the benchmark's tracer wraps
     shift_components,  # unused here, kept as a name the benchmark's tracer wraps
-    shift_contractions,
     verify_identity,
 )
 from .superglmn import (
@@ -291,33 +286,13 @@ def _joined_maxima(rep: Representation, label: np.ndarray, lefts) -> list:
                               + [sign * val[s] for s, _, sign in rhs])
         n_ab = int(np.searchsorted(src, start[g + 1] - start[g]))  # terms of a_g a_h first
         channel = np.repeat([0, 1, 2], [n_ab, len(src) - n_ab, len(keys) - len(src)])
-        size, inverse = _entry_index(keys, hi * d * d)
+        size, inverse = entry_index(keys, hi * d * d)
         sums = np.bincount(inverse + channel * size, weights=vals,
                            minlength=3 * size).reshape(3, size)
         sums[1] = sums[0] - sums[1]  # lhs = a_g a_h - a_h a_g
         sums[0] = sums[1] - sums[2]  # lhs - rhs
         maxima.append(np.abs(sums).max(axis=1, initial=0.0))
     return maxima
-
-
-def _entry_index(keys: np.ndarray, bound: int) -> tuple[int, np.ndarray]:
-    """(size, inverse) of np.unique(keys, return_inverse=True) for keys in
-    0..bound-1: one sort of the keys with each position packed into the
-    low bits, about twice as fast as the argsort behind np.unique."""
-    n = len(keys)
-    bits = n.bit_length()
-    if bound << bits > 2 ** 63:
-        entries, inverse = np.unique(keys, return_inverse=True)
-        return len(entries), inverse
-    packed = np.sort(keys << bits | np.arange(n))
-    ordered = packed >> bits
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    count = np.cumsum(new)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[packed & ((1 << bits) - 1)] = count - 1
-    return int(count[-1]) if n else 0, inverse
 
 
 def suite_identity(rep: Representation, tol: Tolerance) -> VerificationReport:
@@ -388,113 +363,148 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
 
 
 def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
-    """Projector-corner and squared-norm invariants of the top branching step."""
+    """Projector-corner and squared-norm invariants of the top branching step.
+
+    Every closed form comes from one exact pass (invariant_tables), which
+    also cross-multiplies the stored ladder squares.  The shift checks run
+    on ShiftBatch, the raising column psi_j = a_{j,n+1} read as triplets
+    and joined with the lockstep restricted projectors of both kinds, for
+    batches of r at once (one batch on small modules): both contraction
+    routes, psi[n;r]_j = sum_i psi_i Pbar_ij and sum_i P_ji psi_i, are
+    summed at every key a term reaches, and every other entry of either is
+    exactly zero.  The support check reads each key's shift from the
+    pattern table, and completeness adds the components of every r against
+    psi's own entries.  The squared-norm identities take C C^T of the
+    components on a GramLayout, which holds every entry of C C^T and of the
+    projector.  The records, their order and their thresholds are those of
+    the dense products; residuals may differ in their last bits.
+    """
     report = VerificationReport("invariants")
     n = rep.N - 1
     d = rep.dim
     lam = rep.weight
     weight = format_weight(lam)
 
-    branches, c_sums, c_denominator = invariant_C_sums(rep)
+    # The stored square of a_{n,n+1} at (target, source) for every shift
+    # of label (n, r) that stays in the lattice, and exactly 0 elsewhere.
+    # The build stores a_{n,n+1}'s squares in this order, so each admissible
+    # shift must meet its own stored square, position for position.
+    moves = np.zeros((n, rep.table.shape[1]), dtype=np.int64)
+    moves[np.arange(n), row_starts(rep.N)[n] + np.arange(n)] = 1
+    cols, move, rows = rep.raised(moves)
+    stored_rows, stored_cols, stored_nums, stored_dens = rep._ladders[n]
+    in_place = np.array_equal(rows, stored_rows) and np.array_equal(cols, stored_cols)
+    tables = invariant_tables(rep, (cols, move, stored_nums, stored_dens) if in_place else None)
+
     report.add_exact(
-        f"sum_k C_k = 1 on each of {len(branches)} branches of {weight}",
-        bool(np.all(c_sums == c_denominator)))
+        f"sum_k C_k = 1 on each of {tables.branches} branches of {weight}",
+        bool(np.all(tables.c_sums == tables.c_common)))
 
     projectors = build_projectors(build_char_matrix(rep, KIND_ABAR), char_roots(lam, KIND_ABAR))
-    corners = [(0.0, 1.0)] + [_corner_residual(proj.blocks, n * d, diagonal)
-                              for proj, diagonal in zip(projectors, cbar_diagonal_table(rep))]
+    corners = [(0.0, 1.0)] + _corner_residuals(projectors, n * d, tables.cbar)
     corner, corner_scale = map(max_abs, zip(*corners))
     del projectors  # not kept alive through the restricted products below
     report.add_residual(
         f"Cbar corner blocks match the closed form on {weight}",
         corner, tol.threshold(corner_scale))
 
-    # Each squared-norm identity is one (n*d)^2 product per r against the
-    # restricted projector's blocks.  With C the components stacked,
-    # [psi[n;r]_1; ...; psi[n;r]_n], block (i, j) of C C^T is
-    # psi[n;r]_i psi[n;r]_j^T; stacking their transposes instead gives
-    # psi[n;r]_i^T psi[n;r]_j.
-    psi = raising_column(rep)
-    total = np.zeros_like(psi)
+    from .shifts import ShiftBatch  # on first use (see charid.shifts)
+
+    batch = ShiftBatch(rep)
+    total = np.zeros(batch.size)
     norms = [(0.0, 1.0)]
-    norm_nums, norm_dens = norm_invariant_table(rep)
-    for sc in shift_contractions(rep, psi, range(1, n + 1)):
-        r, comps = sc.r, sc.components
-        report.add_residual(
-            f"shift component contractions agree, r={r} on {weight}",
-            sc.contraction_residual, tol.threshold(max_abs(comps)))
-        report.add_residual(
-            f"shift component supports only the +D_{r} weight shift on {weight}",
-            sc.support_residual, tol.threshold(1.0))
-        total += comps
-        for stacked, projector, bar in ((comps.reshape(n * d, d), sc.p, 1),
-                                        (comps.swapaxes(1, 2).reshape(n * d, d), sc.pbar, 0)):
-            norms.append(_cleared_residual(
-                stacked @ stacked.T, projector, norm_nums[bar, r - 1], norm_dens[bar, r - 1]))
+    grams = [(batch.gram_layout(over_cols), projectors, bar)
+             for over_cols, projectors, bar in ((True, batch.p, 1), (False, batch.pbar, 0))]
+    for rs in batch.chunks():
+        comps, other = batch.sums(rs)
+        total += comps.sum(axis=0)
+        norms += [_cleared_residual(layout, comps, projectors, rs, tables.norm_nums[bar],
+                                    tables.norm_dens[bar])
+                  for layout, projectors, bar in grams]
+        other -= comps
+        off_shift = batch.key_steps != batch.steps[rs, None]
+        comps = np.abs(comps, out=comps)
+        for r, contraction, scale, support in zip(
+                range(rs.start + 1, rs.stop + 1), np.abs(other).max(axis=1, initial=0.0).tolist(),
+                comps.max(axis=1, initial=0.0).tolist(),
+                np.where(off_shift, comps, 0.0).max(axis=1, initial=0.0).tolist()):
+            report.add_residual(
+                f"shift component contractions agree, r={r} on {weight}",
+                contraction, tol.threshold(scale))
+            report.add_residual(
+                f"shift component supports only the +D_{r} weight shift on {weight}",
+                support, tol.threshold(1.0))
+    total[batch.psi_at] -= batch.values
     norm_resid, norm_scale = map(max_abs, zip(*norms))
     report.add_residual(
         f"shift components sum back to the raising column on {weight}",
-        max_abs(total - psi), tol.threshold(max_abs(psi)))
+        max_abs(total), tol.threshold(max_abs(batch.values)))
     report.add_residual(
         f"squared-norm identities psi psi+ = Mbar P and psi+ psi = M Pbar "
         f"(cleared denominators) on {weight}",
         norm_resid, tol.threshold(norm_scale))
 
-    # The stored square of a_{n,n+1} at (target, source) for every shift
-    # of label (n, r) that stays in the lattice, and exactly 0 elsewhere.
-    moves = np.zeros((n, rep.table.shape[1]), dtype=np.int64)
-    moves[np.arange(n), row_starts(rep.N)[n] + np.arange(n)] = 1
-    cols, move, rows = rep.raised(moves)
-    nums, dens = elementary_square_table(rep)
     admissible = np.zeros((d, n), dtype=bool)
     admissible[cols, move] = True
-    # The build stores a_{n,n+1}'s squares in this order, so each admissible
-    # shift must meet its own stored square, position for position.
-    stored_rows, stored_cols, stored_nums, stored_dens = rep._ladders[n]
-    exact_ok = (np.array_equal(rows, stored_rows) and np.array_equal(cols, stored_cols)
-                and not np.any(nums[~admissible] != 0)
-                and _same_ratios(nums[cols, move], dens[cols, move], stored_nums, stored_dens))
+    exact_ok = (in_place and not np.any(tables.square_nums[~admissible] != 0)
+                and bool(np.all(tables.cross[0] == tables.cross[1])))
     report.add_exact(
         f"squared ladder coefficients equal M*Cbar products exactly, "
         f"all {rep.dim} states of {lam}", exact_ok)
     return report
 
 
-def _corner_residual(blocks, start: int, diagonal: np.ndarray) -> tuple[float, float]:
-    """max |corner - diag(diagonal)| over the bottom-right square [start:,
-    start:] of the blocks' matrix, and the larger of the two sides' largest
-    entries, read from the block entries in that square: every entry
-    outside the blocks is zero on both sides."""
-    rows, cols, values = blocks.corner(start)
-    expected = np.where(rows == cols, diagonal[rows], 0.0)
-    return max_abs(values - expected), max_abs([max_abs(values), max_abs(diagonal)])
+def _corner_residuals(projectors, start: int, diagonals) -> list[tuple[float, float]]:
+    """For each projector, max |corner - diag(diagonal)| over the
+    bottom-right square [start:, start:] of its matrix, and the larger of
+    the two sides' largest entries, read from the block entries in that
+    square: every entry outside the blocks is zero on both sides.  The
+    projectors share their blocks' index, so the entries are placed once."""
+    out = []
+    if projectors[0].blocks.whole:  # every entry of the square, the diagonal's taken off in place
+        for proj, diagonal in zip(projectors, diagonals):
+            values = proj.blocks.stacks[0][0, start:, start:]
+            diff = values.copy()
+            diff.flat[::len(diff) + 1] -= diagonal
+            out.append((max_abs(diff), max_abs([max_abs(values), max_abs(diagonal)])))
+        return out
+    picks, rows, cols = projectors[0].blocks.corner_places(start)
+    on_diagonal = rows == cols
+    for proj, diagonal in zip(projectors, diagonals):
+        values = proj.blocks.corner_values(picks)
+        diff = values - np.where(on_diagonal, diagonal[rows], 0.0)
+        out.append((max_abs(diff), max_abs([max_abs(values), max_abs(diagonal)])))
+    return out
 
 
-def _cleared_residual(gram: np.ndarray, projector, num: np.ndarray, den: np.ndarray
-                      ) -> tuple[float, float]:
-    """max |den gram - num projector| and the larger of the two sides'
-    largest entries, where num and den (one value per basis vector of the
-    d-dimensional module) scale the rows of every d x d block.  gram is
-    overwritten; the projector (Blocks) is zero off its blocks."""
-    d = len(den)
-    slabs = gram.reshape(-1, d, gram.shape[1])  # a view, one slab per block row
-    slabs *= den[:, None]
-    scales = [gram.max(), gram.min()]
-    for index, stack in zip(projector.index, projector.stacks):
-        rhs = num[index % d][:, :, None] * stack
+def _cleared_residual(layout, comps: np.ndarray, projectors, rs: slice, nums: np.ndarray,
+                      dens: np.ndarray) -> tuple[float, float]:
+    """max |den C C^T - num projector| over the r - 1 in rs and the larger
+    of the two sides' largest entries, where num and den (one value per r
+    and basis vector, (n, d)) scale each row of every d x d block.
+
+    comps holds the components of those r at every key, the entries of C,
+    and projectors the lockstep Blocks of one kind.  Both sides are taken
+    on the GramLayout's squares, where every entry of either lies: C C^T
+    is one batched product per stack of components, the projector's block
+    entries are subtracted at their places, and every other entry is zero
+    on both sides."""
+    R = len(comps)
+    num, den = nums[rs], dens[rs]
+    c = np.zeros((R, layout.c_size))
+    c[:, layout.c_at] = comps
+    gram = np.empty((R, layout.g_size))
+    for c_range, g_range, k, g, m, rows in layout.stacks:
+        block = c[:, c_range].reshape(R, k, g, m)
+        # a view: the Gram range of each r splits into the k squares
+        np.multiply(block @ block.swapaxes(2, 3), den[:, rows, None],
+                    out=gram[:, g_range].reshape(R, k, g, g))
+    scales = [max_abs(gram)]
+    for index, stack, at in zip(projectors.index, projectors.stacks, layout.p_at):
+        rhs = np.multiply(num[:, index % den.shape[1], None], stack[rs])
         scales.append(max_abs(rhs))
-        if projector.whole:
-            gram -= rhs[0]
-        else:
-            gram[index[:, :, None], index[:, None, :]] -= rhs
-    return float(np.abs(gram, out=gram).max()), max_abs(scales)
-
-
-def _same_ratios(p, q, s, t) -> bool:
-    """p/q == s/t entry by entry, by exact cross-multiplication, the
-    products p t and s q taken as glrep._exact_products takes them."""
-    pt, sq = _exact_products(1, np.stack((p, t), axis=1), np.stack((s, q), axis=1))
-    return bool(np.all(pt == sq))
+        gram[:, at] -= rhs.reshape(R, -1)
+    return float(np.abs(gram, out=gram).max(initial=0.0)), max_abs(scales)
 
 
 def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:
@@ -525,7 +535,7 @@ def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:
     col = np.concatenate((rep.entries.cols[at], cols[keep]))
     terms = np.concatenate((np.abs(rep.entries.values[at]), -np.sqrt(values[keep])))
     keys = (pair * d + row) * d + col
-    size, inverse = _entry_index(keys, len(ranges) * d * d)
+    size, inverse = entry_index(keys, len(ranges) * d * d)
     sums = np.bincount(inverse, weights=terms, minlength=size)
     residuals, scales = np.zeros(len(ranges)), np.zeros(len(ranges))
     with np.errstate(invalid="ignore"):  # a NaN makes its own generator's maxima NaN

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charid.kernel import (
     DegenerateRootError,
@@ -17,11 +18,12 @@ from charid.kernel import (
 )
 from charid.gtbasis import (
     branch, dimension, enumerate_patterns, format_weight, is_dominant, pattern_weight,
-    table_labels, weight)
+    row_starts, table_labels, weight)
 import charid.verify
 from charid.glrep import Representation, gl_block_entries, gl_block_matrix
+from charid.blocks import DENSE_BELOW, _pattern_components
+from charid.shifts import ShiftBatch
 from charid.charident import (
-    DENSE_BELOW,
     KIND_A,
     KIND_ABAR,
     KIND_GENERAL,
@@ -30,9 +32,6 @@ from charid.charident import (
     DualVectorRep,
     Root,
     _blocked_product,
-    _pattern_components,
-    _row_shift_ids,
-    _support_residual,
     build_char_matrix,
     build_projector,
     build_projectors,
@@ -43,7 +42,6 @@ from charid.charident import (
     elementary_square_from_invariants,
     general_root_candidates,
     invariant_C_eigenvalue,
-    invariant_C_sums,
     invariant_M_eigenvalue,
     norm_invariant_diagonals,
     restricted_projector,
@@ -53,8 +51,9 @@ from charid.charident import (
 )
 from charid.glrep import casimir_eigenvalue_formula
 from charid.superglmn import super_vector_weight
-from charid.verify import _corner_residual, run_suite
-from reference import is_zero, ordinal, rank
+from charid.verify import _corner_residuals, run_suite
+from reference import (
+    invariant_C_sums, is_zero, ordinal, rank, row_shift_ids, support_residual)
 
 TOL = Tolerance()
 
@@ -630,12 +629,13 @@ def test_corner_residual_equals_the_window_residual(lam):
     n, d = rep.N - 1, rep.dim
     cm = build_char_matrix(rep, KIND_ABAR)
     projectors = build_projectors(cm, char_roots(rep.weight, KIND_ABAR))
-    for k, proj in enumerate(projectors, start=1):
-        diagonal = cbar_diagonal(rep, k)
+    diagonals = [cbar_diagonal(rep, k) for k in range(1, rep.N + 1)]
+    residuals = _corner_residuals(projectors, n * d, diagonals)
+    for k, (proj, diagonal, residual) in enumerate(zip(projectors, diagonals, residuals), start=1):
         window = _window(proj.blocks, n * d, rep.N * d)
         expected = np.diag(diagonal)
         reference = (max_abs(window - expected), max(max_abs(window), max_abs(expected)))
-        assert _corner_residual(proj.blocks, n * d, diagonal) == reference, (lam, k)
+        assert residual == reference, (lam, k)
 
 
 CORNER = "Cbar corner blocks match the closed form"
@@ -924,18 +924,35 @@ def test_support_residual_matches_loop_reference(lam):
         assert sc.support_residual == _loop_support_residual(rep, r, sc.components)
 
 
-def test_support_residual_sees_an_injected_off_shift_entry():
+def test_support_residual_sees_an_injected_off_shift_entry(monkeypatch):
+    """psi[2;1]_1 given the entry -0.25 at (1, 0) -> (1, 1) of row 2, off
+    its shift: the suite's support record for r = 1 reads 0.25, as does the
+    loop over the dense components."""
     rep = _sweep_rep((2, 1, 0))
-    comps = list(shift_components(rep, 1).components)
-    ids = _row_shift_ids(rep)
-    assert _support_residual(ids, 1, comps) < 1e-12
+    support = "shift component supports only the +D_1 weight shift"
+    (check,) = [c for c in run_suite("invariants", rep=rep).checks
+                if c.description.startswith(support)]
+    assert check.residual < 1e-12
     rows_n = [pat.row(2) for pat in rep.patterns]
     # a_{1,3} may move row 2 from (1, 0) to (2, 0) only; (1, 0) -> (1, 1) is off the shift
     row = rows_n.index((1, 1))
     col = rows_n.index((1, 0))
+    key = row * rep.dim + col  # psi[2;1]_1 at (row, col)
+    sums = ShiftBatch.sums
+
+    def injected(batch, rs):
+        comps, other = sums(batch, rs)
+        (at,) = np.flatnonzero(batch.keys == key)
+        comps[0 - rs.start, at] = -0.25
+        return comps, other
+
+    monkeypatch.setattr(ShiftBatch, "sums", injected)
+    (check,) = [c for c in run_suite("invariants", rep=rep).checks
+                if c.description.startswith(support)]
+    assert check.residual == 0.25 and not check.passed
+    comps = list(shift_components(rep, 1).components)
     comps[0] = comps[0].copy()
     comps[0][row, col] = -0.25
-    assert _support_residual(ids, 1, comps) == 0.25
     assert _loop_support_residual(rep, 1, comps) == 0.25
 
 
@@ -968,7 +985,7 @@ def _reference_shift_checks(rep, tol):
                        max(max_abs(c - a) for c, a in zip(comps, cross)),
                        max(max_abs(c) for c in comps)))
         checks.append((f"shift component supports only the +D_{r} weight shift on {lam}",
-                       _support_residual(_row_shift_ids(rep), r, comps), 1.0))
+                       support_residual(row_shift_ids(rep), r, comps), 1.0))
         mbar_num, mbar_den = norm_invariant_diagonals(rep, r, bar=True)
         m_num, m_den = norm_invariant_diagonals(rep, r, bar=False)
         for i in range(1, n + 1):
@@ -989,20 +1006,100 @@ def _reference_shift_checks(rep, tol):
     return checks
 
 
-# Rounding allowance in units of eps: the suite sums each product over all
-# n*d terms at once where the reference summed d-term products one block at
-# a time, so entries may differ in their last bits.  Residuals are compared
-# against max(scale, 1): a contraction's scale is its components' largest
-# entry, itself rounding noise where the r-th shift is forbidden, while the
-# raising column and the projectors have entries of order one.  On the
-# sweep the largest difference is 0.7 ulp, and 1.7 ulps of a threshold.
+# Rounding allowance in units of eps: the suite sums each component over
+# the terms of its join, or one product per block, and each Gram entry over
+# one component's columns, where the reference summed d-term products one
+# block at a time, so entries may differ in their last bits.  Residuals are
+# compared against max(scale, 1): a contraction's scale is its components'
+# largest entry, itself rounding noise where the r-th shift is forbidden,
+# while the raising column and the projectors have entries of order one.
+# On the sweep and on every REFERENCE_WEIGHTS weight, integer and shifted by
+# 1/2, the largest difference is 1.6 ulps, and 1.7 ulps of a threshold.
 REFERENCE_ULPS = 4
 
 
 @pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if len(lam) >= 2]
                          + [(4, 2, 1, 0)], ids=str)
 def test_invariants_suite_matches_the_per_block_reference(lam):
-    rep = _sweep_rep(lam)
+    _assert_matches_the_per_block_reference(_sweep_rep(lam))
+
+
+# Every dominant gl(2)-gl(5) weight of dimension at most 200 with labels up
+# to 9, 6, 4 and 3: 275 weights, the largest 175 (gl(4)) and 189 (gl(5)).
+REFERENCE_WEIGHTS = [
+    lam for n, top in ((2, 9), (3, 6), (4, 4), (5, 3))
+    for lam in itertools.product(range(top, -1, -1), repeat=n)
+    if is_dominant(lam) and dimension(lam) <= 200]
+
+
+@st.composite
+def reference_weights(draw):
+    """A weight of REFERENCE_WEIGHTS shifted by an integer, and by 1/2 or
+    not."""
+    lam = draw(st.sampled_from(REFERENCE_WEIGHTS))
+    shift = draw(st.integers(-5, 5)) + draw(st.sampled_from((Fraction(0), Fraction(1, 2))))
+    return tuple(x + shift for x in lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(reference_weights())
+def test_invariants_suite_matches_the_per_block_reference_property(lam):
+    """Restricted matrices of 100 rows or more are split into blocks and
+    psi is joined with them as triplets; smaller ones are one block."""
+    _assert_matches_the_per_block_reference(Representation(lam))
+
+
+def _with_a_moved_restricted_entry(lam, replace_generator):
+    """lam's module with an entry of a_nn moved to a row with another row
+    n: its restricted matrices, and so its restricted projectors, stop
+    being symmetric."""
+    rep = Representation(lam)
+    n = rep.N - 1
+    rows_n = rep.table[:, row_starts(rep.N)[n]:row_starts(rep.N)[n] + n]
+    moved = rep.gen(n, n).copy()
+    row, col = np.argwhere(moved)[0]
+    other = next(k for k in range(rep.dim) if not np.array_equal(rows_n[k], rows_n[row]))
+    moved[other, col], moved[row, col] = moved[row, col], 0.0
+    replace_generator(rep, n, n, moved)
+    return rep
+
+
+# (2,1,0,0) restricts to one block of 60 rows; (3,3,2,0) to 135, split.
+@pytest.mark.parametrize("lam", [(2, 1, 0, 0), (3, 3, 2, 0)], ids=str)
+def test_invariants_suite_matches_the_per_block_reference_on_a_tampered_module(
+        lam, replace_generator):
+    """The records follow the reference's on a module whose restricted
+    projectors are not symmetric, failed ones included."""
+    _assert_matches_the_per_block_reference(_with_a_moved_restricted_entry(lam, replace_generator))
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0, 0), (3, 3, 2, 0)], ids=str)
+def test_shift_routes_equal_the_dense_products_on_a_tampered_module(lam, replace_generator):
+    """Both routes of ShiftBatch.sums, at every key, against the dense
+    products Pbar^T [psi_1^T; ...] and P [psi_1; ...] on a module whose
+    restricted projectors are not symmetric, so that each route must read
+    its own side of the blocks; every entry no key reaches is zero."""
+    rep = _with_a_moved_restricted_entry(lam, replace_generator)
+    batch = ShiftBatch(rep)
+    n, d = batch.n, batch.d
+    psi = np.stack([rep.gen(j, rep.N) for j in range(1, n + 1)])
+    for r in range(1, n + 1):
+        (comps,), (other,) = batch.sums(slice(r - 1, r))
+        pbar = restricted_projector(rep, n, r, KIND_ABAR)
+        p = restricted_projector(rep, n, r, KIND_A)
+        expected = ((pbar.T @ psi.swapaxes(1, 2).reshape(n * d, d))
+                    .reshape(n, d, d).swapaxes(1, 2).ravel(),
+                    (p @ psi.reshape(n * d, d)).ravel())
+        for got, want in zip((comps, other), expected):
+            full = np.zeros(n * d * d)
+            full[batch.keys] = got
+            assert max_abs(full - want) <= 1e-12 * max(1.0, max_abs(want)), (lam, r)
+
+
+def _assert_matches_the_per_block_reference(rep):
+    """The suite's shift and squared-norm records against
+    _reference_shift_checks: the same descriptions, pass or fail, and
+    residuals and thresholds within REFERENCE_ULPS."""
     report = run_suite("invariants", rep=rep, tol=TOL)
     reference = _reference_shift_checks(rep, TOL)
     # The shift checks sit between the corner check and the exact one.
@@ -1011,8 +1108,8 @@ def test_invariants_suite_matches_the_per_block_reference(lam):
     assert [c.description for c in checks] == [desc for desc, _, _ in reference]
     eps = np.finfo(float).eps
     for check, (desc, residual, scale) in zip(checks, reference):
-        assert check.passed == (residual <= TOL.threshold(scale)), desc
+        assert check.passed == (residual <= TOL.threshold(scale)), (rep.weight, desc)
         assert abs(check.residual - residual) <= REFERENCE_ULPS * eps * max(scale, 1.0), (
-            desc, check.residual, residual)
+            rep.weight, desc, check.residual, residual)
         assert check.threshold == pytest.approx(
             TOL.threshold(scale), rel=REFERENCE_ULPS * eps, abs=0.0), desc

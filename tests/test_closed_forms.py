@@ -14,14 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charid.charident import (
-    elementary_square_from_invariants,
-    elementary_square_table,
-)
+from charid.charident import elementary_square_from_invariants
 from charid.glrep import Representation, nonelementary_coefficient
 from charid.gtbasis import row_starts
 from charid.verify import run_suite
-from reference import nonelementary_magnitudes, ordinal
+from reference import elementary_square_table, nonelementary_magnitudes, ordinal
 
 SHIFTS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-22, 7)]
 SWEEP = [lam for n in (3, 4)
@@ -182,3 +179,44 @@ def test_invariants_residuals_fail_on_a_moved_restricted_entry(lam, replace_gene
     assert _any_failed(report, CONTRACTION)
     assert _any_failed(report, NORMS)
     assert _any_failed(report, COMPLETENESS) == (n >= 3)
+
+
+def _shift_of(rep, row, col):
+    """The r of row n of basis vector row minus that of col, which is e_r,
+    or 0 where the difference is no e_r."""
+    n = rep.N - 1
+    start = row_starts(rep.N)[n]
+    rows_n = rep.table[:, start:start + n]
+    step = rows_n[row] - rows_n[col]
+    return int(np.argmax(step)) + 1 if sorted(step.tolist()) == [0] * (n - 1) + [1] else 0
+
+
+# (2,1,0) restricts to a single whole block; (3,3,2,0) to 135 rows, which are
+# split into blocks and joined with psi's triplets.
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 3, 2, 0)], ids=str)
+def test_invariants_support_fails_on_an_entry_moved_off_its_shift(lam, replace_generator):
+    """The first entry of a_{1,N}, of shift r, moved within its column to a
+    row off that shift: the projectors spread it over the components, and
+    the r-th then reaches off its shift."""
+    rep = Representation(lam)
+    moved = rep.gen(1, rep.N).copy()
+    row, col = np.argwhere(moved)[0]
+    r = _shift_of(rep, row, col)
+    assert r
+    other = next(k for k in range(rep.dim) if moved[k, col] == 0 and _shift_of(rep, k, col) != r)
+    moved[other, col], moved[row, col] = moved[row, col], 0.0
+    replace_generator(rep, 1, rep.N, moved)
+    report = run_suite("invariants", rep=rep)
+    assert _any_failed(report, f"shift component supports only the +D_{r} weight shift")
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 3, 2, 0)], ids=str)
+def test_invariants_residuals_fail_on_a_flipped_raising_sign(lam, replace_generator):
+    rep = Representation(lam)
+    flipped = rep.gen(1, rep.N).copy()
+    row, col = np.argwhere(flipped)[0]
+    flipped[row, col] = -flipped[row, col]
+    replace_generator(rep, 1, rep.N, flipped)
+    report = run_suite("invariants", rep=rep)
+    assert _any_failed(report, CONTRACTION)
+    assert _any_failed(report, NORMS)

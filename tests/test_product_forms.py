@@ -291,3 +291,56 @@ def test_admissible_shifts_are_the_interlacing_targets(lam):
         assert np.array_equal(shifts[mine][:, list(levels)], combos[combo]), (lam, l, n)
         outside = np.setdiff1d(np.arange(N + 1), list(levels))
         assert np.all(shifts[mine][:, outside] == -1), (lam, l, n)
+
+
+GL12 = (Fraction(3, 2),) + (Fraction(-1, 2),) * 11  # products reach 2**53 on some rows
+
+
+@pytest.mark.parametrize("lam", [(4, 3, 2, 1, 0), GL7, GL12], ids=str)
+def test_blocks_of_rows_give_the_one_block_outputs(lam, monkeypatch):
+    """_product_forms over every range, in blocks of a few rows and in one
+    block: the same outputs, element for element and in dtype (on the
+    gl(12) module some blocks are int64 and others Python ints)."""
+    import charid.glrep as glrep
+
+    rep = Representation(lam)
+    ranges = [(l, n) for l in range(1, rep.N) for n in range(l, rep.N)]
+    monkeypatch.setattr(glrep, "PRODUCT_ENTRIES", 2 ** 40)
+    whole = glrep._product_forms(rep, ranges)
+    monkeypatch.setattr(glrep, "PRODUCT_ENTRIES", 500)
+    split = glrep._product_forms(rep, ranges)
+    assert len(whole[0]) > 500 // glrep._layout(rep.N, tuple(ranges)).factors[0].size
+    for a, b in zip(whole, split):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("entries", [2 ** 40, 200], ids=["one block", "blocks"])
+def test_the_first_negative_square_raises_in_any_block(entries, monkeypatch):
+    """A negative square at a nonzero entry past the 300th of the 362 of
+    (3,2,1,0): every block before its own passes, and the error names that
+    entry."""
+    import charid.glrep as glrep
+
+    rep = Representation((3, 2, 1, 0))
+    ranges = [(l, n) for l in range(1, rep.N) for n in range(l, rep.N)]
+    owner, cols, _, nums, _, _ = glrep._product_forms(rep, ranges)
+    target = 300 + int(np.flatnonzero(nums[300:])[0])
+    cancelled, seen = glrep._cancelled_ratios, []
+
+    def negated(sign, num, den):
+        nums, dens, values, unmatched = cancelled(sign, num, den)
+        at = target - sum(seen)
+        seen.append(len(nums))
+        if 0 <= at < len(nums):
+            nums[at] = -nums[at]
+        return nums, dens, values, unmatched
+
+    monkeypatch.setattr(glrep, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(glrep, "_cancelled_ratios", negated)
+    with pytest.raises(ConsistencyError, match="negative squared coefficient") as error:
+        glrep._product_forms(rep, ranges)
+    rows_per_block = entries // _layout(rep.N, tuple(ranges)).factors[0].size
+    assert len(seen) == target // rows_per_block + 1  # the blocks up to the target's
+    l, n = ranges[owner[target]]
+    assert (f"k={n} " if l == n else f"a_{l},{n + 1} shifts") in str(error.value)
+    assert str(rep.patterns[cols[target]].rows) in str(error.value)
