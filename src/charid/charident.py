@@ -557,6 +557,8 @@ class _InvariantLayout(NamedTuple):
     - MCbar_r: M_{r,n} times Cbar_{r,n} of rows n and n - 1, prod_a (subs_r
       - lows_a) / prod_{p != r} (subs_r - subs_p), the promised square of
       the top-level ladder coefficient.
+    Each row holds the factor lists of _c_factors and _m_factors, the
+    scalar forms' own, in their order.
     forms holds the slice of forms of each name; columns and offsets give
     the roots of a pattern table row as table[:, columns] + offsets.
     """
@@ -601,16 +603,25 @@ def _invariant_layout(N: int) -> _InvariantLayout:
         offsets=freeze(np.array([level - 1 - i for level, i in levels], dtype=np.int64)))
 
 
-def _scalar_factors(form: str, index: int, *rows):
-    """The (sign, numerator, denominator) factor lists of one closed form of
-    _invariant_layout at index k or r (from 1), on pattern rows of
-    Fractions, top row first (rows a form reads no root of may be left
-    out)."""
-    layout = _invariant_layout(len(rows[0]))
-    roots = [root for row in rows for root in _roots(row)]
-    f = layout.forms[form].start + index - 1
-    return int(layout.signs[f]), *([roots[a] - roots[b] + c for a, b, c in part]
-                                   for part in layout.factors[f].tolist())
+def _c_factors(tops, subs, k: int, bar: bool):
+    """(sign, numerator, denominator) factor lists of C_{k,n+1}, or of
+    Cbar_{k,n+1} when bar, from the top roots and the branch roots."""
+    a = tops[k - 1]
+    shifted = a if bar else a - 1
+    num = [shifted - alpha for alpha in subs]
+    den = [a - alpha for p, alpha in enumerate(tops, start=1) if p != k]
+    return 1, num, den
+
+
+def _m_factors(tops, subs, r: int, bar: bool):
+    """(sign, numerator, denominator) factor lists of M_{r,n}, or of
+    Mbar_{r,n} when bar, from the top roots and the branch roots."""
+    a = subs[r - 1]
+    num_shifted = a if bar else a + 1
+    den_shifted = a - 1 if bar else a + 1
+    num = [alpha - num_shifted for alpha in tops]
+    den = [den_shifted - alpha for l, alpha in enumerate(subs, start=1) if l != r]
+    return (-1 if len(subs) % 2 else 1), num, den
 
 
 def _factor_ratio(factors, degenerate: str) -> Fraction:
@@ -630,8 +641,8 @@ def invariant_C_eigenvalue(lam_top, lam_sub, k: int, kind: str = "C") -> Fractio
         raise DomainError(f"index {k} outside 1..{len(lam_top)}")
     if kind not in ("C", "Cbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    return _factor_ratio(_scalar_factors(kind, k, lam_top, lam_sub),
-                         f"coincident characteristic roots of {lam_top}")
+    factors = _c_factors(_roots(lam_top), _roots(lam_sub), k, bar=kind == "Cbar")
+    return _factor_ratio(factors, f"coincident characteristic roots of {lam_top}")
 
 
 def invariant_M_eigenvalue(lam_top, lam_sub, r: int, kind: str = "M") -> Fraction:
@@ -642,8 +653,9 @@ def invariant_M_eigenvalue(lam_top, lam_sub, r: int, kind: str = "M") -> Fractio
         raise DomainError(f"index {r} outside 1..{len(lam_sub)}")
     if kind not in ("M", "Mbar"):
         raise DomainError(f"unknown invariant kind {kind!r}")
-    return _factor_ratio(_scalar_factors(kind, r, lam_top, lam_sub),
-                         f"degenerate denominator for M invariant r={r} on {lam_sub}")
+    factors = _m_factors(_roots(lam_top), _roots(lam_sub), r, bar=kind == "Mbar")
+    return _factor_ratio(
+        factors, f"degenerate denominator for M invariant r={r} on {lam_sub}")
 
 
 def elementary_square_from_invariants(pattern, r: int) -> Fraction:
@@ -659,8 +671,12 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
         raise DomainError("needs a pattern with at least two rows")
     if not 1 <= r <= n:
         raise DomainError(f"index {r} outside 1..{n}")
-    rows = [pattern.row(level) for level in range(n + 1, max(n - 2, 0), -1)]
-    return _cancelled_ratio(*_scalar_factors("MCbar", r, *rows),
+    tops = _roots(pattern.row(n + 1))
+    subs = _roots(pattern.row(n))
+    lows = _roots(pattern.row(n - 1)) if n > 1 else []
+    m_sign, m_num, m_den = _m_factors(tops, subs, r, bar=False)
+    c_sign, c_num, c_den = _c_factors(subs, lows, r, bar=True)
+    return _cancelled_ratio(m_sign * c_sign, m_num + c_num, m_den + c_den,
                             f"M*Cbar product r={r} on {pattern.rows}")
 
 
@@ -688,8 +704,9 @@ def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
     pattern.
 
     The factors of every form come from the templates of
-    _invariant_layout, which the scalar forms invariant_C_eigenvalue,
-    invariant_M_eigenvalue and elementary_square_from_invariants read too,
+    _invariant_layout, the factor lists of the scalar forms
+    invariant_C_eigenvalue, invariant_M_eigenvalue and
+    elementary_square_from_invariants laid out once per gl(N),
     applied to the int64 roots of every pattern at once: one (patterns,
     forms, 2, width) array of numerator and denominator factors, padded
     with factors 1, which one _exact_products pass multiplies: int64 while

@@ -143,6 +143,11 @@ def max_abs(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
+    # The method skips np.max's Python-level dispatch: 1.6-1.8 us against
+    # 3.1-3.2 us per call on arrays of up to 324 entries (2 vCPUs).  A
+    # small invariants job calls this 20-50 times, and in process,
+    # interleaved, the exact-small invariants classes took 17.3-17.4 ms
+    # with the method and 17.7-18.0 ms with np.max.
     return float(np.abs(m).max())
 
 

@@ -49,11 +49,19 @@ def _restricted_matrices(rep: Representation, level: int) -> tuple:
 
 
 # The most block entries _restricted_projectors multiplies in one batch,
-# and the most ShiftBatch.chunks takes per batch of r.  Measured on 2
-# vCPUs, the kind-A projectors of (2,1,1,1,0)+1/2 (one 96-row block, n =
-# 4): all four in one batch took 677 us, two at a time 441 us and one at a
+# and the most join terms or projector entries per r that ShiftBatch.chunks
+# takes per batch of r.  Measured on 2 vCPUs, one BLAS thread.  Projector
+# batches: the kind-A projectors of (2,1,1,1,0)+1/2 (one 96-row block, n =
+# 4), all four in one batch took 677 us, two at a time 441 us and one at a
 # time 457 us; a batch larger than the caches costs more than the calls it
-# saves.
+# saves.  Chunks (projector batches left at 2**14): the invariants suite
+# on the 16 shapes of the exact-small invariants classes took 27.4 ms with
+# a cut-off of 2**10, 25.8 ms at 2**12, 25.3 ms at 2**14 and 25.8-25.9 ms
+# from 2**16 to 2**20; on (4,3,2,1,0) (dim 1024, 169 000 terms per r) every
+# cut-off from 2**10 to 2**18 takes one r at a time, 52.5-53.7 ms with a
+# tracemalloc peak of 13.3 MiB, and 2**20 takes all four r at once, 49.5 ms
+# and 17.1 MiB.  Every module above 2**14 terms per r, such as dim 8064
+# (6.0 million), takes one r at a time.
 LOCKSTEP_ENTRIES = 2 ** 14
 
 
@@ -290,12 +298,16 @@ class GramLayout:
     layouts of C and of C C^T, rows being each state's basis vector (state
     mod d), (k, g).  c_at is each entry's place in C's layout and p_at the
     places of each projector stack's (k, b, b) block entries in the Gram's
-    (a slice where they are all of it, in order).  A projector held as one
-    block makes one component of every state in index order.
+    (a slice where they are all of it, in order).
     """
 
     def __init__(self, states: np.ndarray, columns: np.ndarray, S: int, d: int,
                  projectors: Blocks):
+        # One block: one component of every state in index order, the layout
+        # the general path below finds with its labelling and sorts.  In
+        # process, interleaved, the exact-small invariants classes (16 shapes,
+        # each class's median summed) took 16.4 ms with this branch and 19.7
+        # ms without (2 vCPUs; 0.69 against 0.88 ms on each gl(2) one).
         if len(projectors.index) == 1 and len(projectors.index[0]) == 1:
             used = np.zeros(d, dtype=bool)
             used[columns] = True

@@ -461,7 +461,12 @@ def _corner_residuals(projectors, start: int, diagonals) -> list[tuple[float, fl
     square: every entry outside the blocks is zero on both sides.  The
     projectors share their blocks' index, so the entries are placed once."""
     out = []
-    if projectors[0].blocks.whole:  # every entry of the square, the diagonal's taken off in place
+    # One block: the square read as a view, the diagonal taken off in place.
+    # The general path below gives the same values; in process, interleaved,
+    # the exact-small invariants classes (16 shapes, each class's median
+    # summed) took 16.5 ms with this branch and 17.4 ms without (15.8 and
+    # 16.6 in the other order; 2 vCPUs).
+    if projectors[0].blocks.whole:
         for proj, diagonal in zip(projectors, diagonals):
             values = proj.blocks.stacks[0][0, start:, start:]
             diff = values.copy()

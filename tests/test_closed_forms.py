@@ -6,7 +6,8 @@ closed forms read: every shift combination through shifted_many and
 nonelementary_coefficient, every M*Cbar product through
 elementary_square_from_invariants.  The batched forms on the integer
 pattern table must give the same floats bit for bit and the same exact
-rationals."""
+rationals, and the factor templates of the batched invariants must hold
+the scalar forms' factor lists."""
 
 import itertools
 from fractions import Fraction
@@ -14,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charid.charident import elementary_square_from_invariants
+from charid.charident import (_c_factors, _invariant_layout, _m_factors, _roots,
+                              elementary_square_from_invariants)
 from charid.glrep import Representation, nonelementary_coefficient
 from charid.gtbasis import row_starts
 from charid.verify import run_suite
@@ -63,6 +65,50 @@ def test_closed_forms_match_scalar_reference_on_the_sweep(shift):
 @pytest.mark.parametrize("lam", LARGER, ids=str)
 def test_closed_forms_match_scalar_reference_on_gl5_gl6(lam):
     _assert_matches_reference(tuple(x + Fraction(1, 2) for x in lam))
+
+
+def _scalar_factor_lists(pattern):
+    """The (sign, numerator, denominator) lists of every closed form of
+    invariant_tables on one pattern, from _c_factors and _m_factors, by
+    form name and index."""
+    N = pattern.size
+    n = N - 1
+    tops, subs = _roots(pattern.row(N)), _roots(pattern.row(n))
+    lows = _roots(pattern.row(n - 1)) if n > 1 else []
+    lists = {name: [_c_factors(tops, subs, k, bar) for k in range(1, N + 1)]
+             for name, bar in (("C", False), ("Cbar", True))}
+    lists.update({name: [_m_factors(tops, subs, r, bar) for r in range(1, n + 1)]
+                  for name, bar in (("M", False), ("Mbar", True))})
+    lists["MCbar"] = [(m[0] * c[0], m[1] + c[1], m[2] + c[2])
+                      for m, c in zip(lists["M"], (_c_factors(subs, lows, r, True)
+                                                   for r in range(1, n + 1)))]
+    return lists
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 2)], ids=str)
+def test_invariant_templates_hold_the_scalar_factor_lists(shift):
+    """Every template row of _invariant_layout, on the int64 roots of every
+    pattern's table row, gives the factor lists of the scalar forms, in
+    their order, then only the padding template (0, 0, 1)."""
+    weights = [lam for n in (2, 3, 4)
+               for lam in itertools.combinations_with_replacement(range(3, -1, -1), n)]
+    for lam in weights + LARGER:
+        rep = Representation(tuple(x + shift for x in lam))
+        layout = _invariant_layout(rep.N)
+        roots = (rep.table[:, layout.columns] + layout.offsets).tolist()
+        assert set(layout.forms) == {"C", "Cbar", "M", "Mbar", "MCbar"}
+        for pattern, row_roots in zip(rep.patterns, roots):
+            for name, lists in _scalar_factor_lists(pattern).items():
+                rows = range(*layout.forms[name].indices(len(layout.signs)))
+                assert len(rows) == len(lists), (lam, name)
+                for f, (sign, num, den) in zip(rows, lists):
+                    assert int(layout.signs[f]) == sign, (lam, name, f)
+                    for template, factors in zip(layout.factors[f].tolist(), (num, den)):
+                        made = [row_roots[a] - row_roots[b] + c for a, b, c in template]
+                        assert made[:len(factors)] == factors, (lam, pattern.rows, name, f)
+                        assert template[len(factors):] == [[0, 0, 1]] * (
+                            len(template) - len(factors)), (lam, name, f)
+                        assert len(template) > len(factors), (lam, name, f)
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (3, 1, 1, 0), (2, 2, 1, 0, 0), (2, 1, 0, 0, 0, 0)],
