@@ -20,6 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import (
+    KIND_A,
+    KIND_ABAR,
     ConsistencyError,
     DegenerateRootError,
     DomainError,
@@ -53,8 +55,6 @@ from .gtbasis import (
 )
 from .blocks import Blocks
 
-KIND_A = "A"
-KIND_ABAR = "Abar"
 KIND_GENERAL = "general"
 
 

@@ -21,18 +21,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernel import DomainError, Tolerance, offsets, to_rational
-from .glrep import Representation
-from .gtbasis import row_starts, table_labels, table_weights
-from .charident import KIND_A, KIND_ABAR, char_roots
-from .superglmn import (
-    SuperWeight,
-    classify_type1_star,
-    super_char_roots,
-    super_vector_weight,
-    vector_rep,
+from .kernel import (
+    KIND_A,
+    KIND_ABAR,
+    SUITE_NAMES,
+    DomainError,
+    Tolerance,
+    late_names,
+    offsets,
+    to_rational,
 )
-from .verify import SUITE_NAMES, check_job, run_suite
+
+# Importing this module loads only kernel: each command binds the names it
+# runs when it first runs, so a process compiles the modules its jobs need.
+_bind, __getattr__ = late_names(globals(), {
+    "gtbasis": "row_starts table_labels table_weights",
+    "glrep": "Representation",
+    "charident": "char_roots",
+    "superglmn": "SuperWeight classify_type1_star super_char_roots super_vector_weight "
+                 "vector_rep",
+    "verify": "check_job run_suite",
+})
 
 SCHEMA_VERSION = 1
 _ALGEBRA_RE = re.compile(r"^gl(\d+)(?:\|(\d+))?$")
@@ -79,6 +88,7 @@ def parse_weight(text: str, family: str, sizes) -> tuple:
     if len(even) != m or len(odd) != n:
         raise DomainError(
             f"weight blocks ({len(even)}|{len(odd)}) do not match gl{m}|{n}")
+    _bind("SuperWeight")
     return SuperWeight(even, odd)
 
 
@@ -263,9 +273,11 @@ def cmd_rep(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
+        _bind("Representation", "row_starts", "table_labels", "table_weights")
         rep = _module(Representation, parsed)
         labels, dim, table = rep.weight, rep.dim, _gl_table(rep)
     else:
+        _bind("super_vector_weight", "vector_rep")
         if parsed != super_vector_weight(*sizes):
             raise DomainError(
                 "representation export for gl(m|n) covers the vector weight only")
@@ -293,6 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     tol = resolve_tolerance(args.tolerance)
+    _bind("Representation", "check_job", "run_suite")
     # A job its suite cannot run is refused before its module is built.
     check_job(args.suite, family, parsed if family == "gl" else parsed.labels())
     if family == "glmn":
@@ -312,8 +325,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
     if family == "gl":
+        _bind("char_roots")
         spectrum = char_roots(parsed, args.kind)
     else:
+        _bind("super_char_roots")
         spectrum = super_char_roots(parsed, args.kind)
     _write_output(", ".join(str(root.value) for root in spectrum) + "\n",
                   args.output)
@@ -324,6 +339,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     if family != "glmn":
         raise DomainError("classification applies to gl(m|n) weights")
+    _bind("classify_type1_star")
     verdict = classify_type1_star(parse_weight(args.weight, family, sizes))
     if verdict.witness is None:
         _write_output(f"{verdict.verdict}\n", args.output)

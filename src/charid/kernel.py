@@ -5,16 +5,28 @@ Everything with a closed form (characteristic roots, Casimir eigenvalues,
 squared matrix elements) is evaluated in exact rational arithmetic; operator
 level checks run in float64 because matrix elements are square roots of
 rationals and sums of those do not stay closed-form.
+
+It also holds what the command line needs before any module is built: the
+choices its parser offers and the binder that loads every other charid
+module on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+# The characteristic matrix kinds and the verification suites (charident
+# and verify re-export them).
+KIND_A = "A"
+KIND_ABAR = "Abar"
+GL_SUITES = ("relations", "identity", "projectors", "invariants", "melcross")
+SUITE_NAMES = GL_SUITES + ("super",)
 
 
 class DimensionError(ValueError):
@@ -255,3 +267,31 @@ def freeze(m: np.ndarray) -> np.ndarray:
     """Mark an array immutable so built representations stay shareable."""
     m.setflags(write=False)
     return m
+
+
+def late_names(namespace: dict, sources: dict[str, str]):
+    """(bind, __getattr__) for a module that takes names from other charid
+    modules on first use, so that importing it loads none of them.
+
+    namespace is the module's globals(); sources maps a module ("glrep")
+    to the space-separated names taken from it.  bind(*names) sets each
+    name the namespace does not hold yet: a value already there, such as a
+    patched function, is the one that stays.  __getattr__ (PEP 562) binds
+    a name at its first lookup from outside, so getattr(module, name) reads
+    it as an eager import would; any other name raises AttributeError.
+    """
+    home = {name: module for module, names in sources.items() for name in names.split()}
+
+    def bind(*names: str) -> None:
+        for name in names:
+            if name not in namespace:
+                module = importlib.import_module(f"charid.{home[name]}")
+                namespace[name] = getattr(module, name)
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        bind(name)
+        return namespace[name]
+
+    return bind, __getattr__

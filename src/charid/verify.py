@@ -10,11 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (
+    GL_SUITES,
+    SUITE_NAMES,
     DomainError,
     Tolerance,
     commutator,  # unused here, kept as a name the benchmark's tracer wraps
     entry_index,
     join,
+    late_names,
     max_abs,
     offsets,
 )
@@ -46,15 +49,13 @@ from .charident import (
     shift_components,  # unused here, kept as a name the benchmark's tracer wraps
     verify_identity,
 )
-from .superglmn import (
-    SuperWeight,
-    super_vector_weight,
-    verify_super_identity,
-    vector_rep_relations_hold,
-)
 
-GL_SUITES = ("relations", "identity", "projectors", "invariants", "melcross")
-SUITE_NAMES = GL_SUITES + ("super",)
+# gl(m|n) is loaded by the super suite alone, when it first runs
+# (SuperWeight appears here in annotations only).
+_bind, __getattr__ = late_names(globals(), {
+    "superglmn": "SuperWeight super_vector_weight verify_super_identity "
+                 "vector_rep_relations_hold",
+})
 
 # What a job (suite, family "gl" or "glmn", labels) needs before its suite
 # runs, as (suites, test, message) in the order checked.  A gl(n) weight is
@@ -555,6 +556,7 @@ def suite_melcross(rep: Representation, tol: Tolerance) -> VerificationReport:
 def suite_super(lam: SuperWeight, tol: Tolerance) -> VerificationReport:
     """Graded defining relations plus both super characteristic identities
     on the vector representation of gl(m|n), whose weight lam must be."""
+    _bind("super_vector_weight", "verify_super_identity", "vector_rep_relations_hold")
     m, n = lam.m, lam.n
     if lam != super_vector_weight(m, n):
         raise DomainError(

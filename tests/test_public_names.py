@@ -1,6 +1,7 @@
 """charid's public names are the objects its commands and suites use.  The
 dense views, per-index forms and scalar references that only tests and
-the benchmark's tracer call stay in their modules, outside that list."""
+the benchmark's tracer call stay in their modules, outside that list.
+charid serves the public names from their modules on first use."""
 
 import importlib
 import types
@@ -35,10 +36,13 @@ MODULE_ONLY = [
 
 
 def test_public_names_are_the_kept_ones():
-    names = {name for name, value in vars(charid).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    """charid loads each public name on first use, so they are read through
+    dir(charid) and __all__, each resolving to an object, not a module."""
     assert len(PUBLIC) == 45
-    assert names == PUBLIC
+    assert set(dir(charid)) == set(charid.__all__) == PUBLIC
+    assert len(charid.__all__) == 45
+    for name in PUBLIC:
+        assert not isinstance(getattr(charid, name), types.ModuleType), name
 
 
 @pytest.mark.parametrize("module_name, name", MODULE_ONLY)
