@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Triplets, max_abs
+from .kernel import max_abs
 
 
 # Below this many rows one dense product costs less than finding the
@@ -120,33 +120,64 @@ class Blocks:
             out[i[:, :, None], i[:, None, :]] = stack
         return out
 
-    def corner(self, start: int) -> Triplets:
-        """The block entries of the bottom-right square [start:, start:] of
-        the matrix, as (row, col, value) counted from start; every other
-        entry of the square is zero, and its whole diagonal is among them."""
-        picks, rows, cols = self.corner_places(start)
-        return Triplets(rows, cols, self.corner_values(picks))
-
-    def corner_places(self, start: int) -> tuple[list, np.ndarray, np.ndarray]:
-        """Where corner(start) finds its entries: one mask per stack, and
-        each entry's (row, col) counted from start.  Blocks with the same
-        index share them."""
-        picks, rows, cols = [], [], []
+    def corner_places(self, start: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per stack, the flat places of the block entries of the square
+        [start:, start:] and each one's (row, col) counted from start; every
+        other entry of the square is zero, and its diagonal is among them."""
+        out = []
         for i in self.index:
             inside = i >= start
             pick = inside[:, :, None] & inside[:, None, :]
             at = np.broadcast_to(i[:, :, None] - start, pick.shape)
-            picks.append(pick)
-            rows.append(at[pick])
-            cols.append(np.swapaxes(at, 1, 2)[pick])
-        return picks, np.concatenate(rows), np.concatenate(cols)
-
-    def corner_values(self, picks: list) -> np.ndarray:
-        """The values of corner(start) for the masks of corner_places."""
-        return np.concatenate([stack[pick] for stack, pick in zip(self.stacks, picks)])
+            out.append((np.flatnonzero(pick), at[pick], np.swapaxes(at, 1, 2)[pick]))
+        return out
 
     def trace(self) -> float:
         return float(sum(np.trace(s, axis1=1, axis2=2).sum() for s in self.stacks))
 
     def max_abs(self) -> float:
         return max_abs([max_abs(s) for s in self.stacks])
+
+
+def subtract_node(stack: np.ndarray, node, out: np.ndarray) -> np.ndarray:
+    """The factor stack - node, node taken off the diagonal, in out."""
+    np.copyto(out, stack)
+    b = out.shape[-1]
+    out.reshape(out.shape[:-2] + (b * b,))[..., ::b + 1] -= node
+    return out
+
+
+def ordered_product(stack: np.ndarray, nodes, quotients=None, scales: list | None = None
+                    ) -> np.ndarray:
+    """The product of the factors (stack - node) over nodes, left to right,
+    as one batch over the stack's (..., b, b) blocks; no nodes give the
+    identity.  A node is a scalar, or one value per column where nodes is
+    an (L, ..., k, b) array, whose axes before the stack's are batch axes
+    of the product.  quotients[l], (L, ..., 1, b), divides the partial
+    product after factor l column-wise; scales collects each factor's
+    largest entry.  The buffers and the factor's diagonal view are made
+    once: fresh matrices per factor left the heap up to two matrices
+    larger, and a fresh view per factor made (3,2,1,0)'s identity product
+    12% slower."""
+    shape = stack.shape
+    if isinstance(nodes, np.ndarray):
+        shape = nodes.shape[1:nodes.ndim - stack.ndim + 1] + shape
+    b = shape[-1]
+    factor = np.empty(shape)
+    diagonal = factor.reshape(shape[:-2] + (b * b,))[..., ::b + 1]
+    product = spare = None
+    for l, node in enumerate(nodes):
+        np.copyto(factor, stack)
+        diagonal -= node
+        if scales is not None:
+            scales.append(max_abs(factor))
+        if product is None:
+            product, spare = factor.copy(), np.empty(shape)
+        else:
+            product, spare = np.matmul(product, factor, out=spare), product
+        if quotients is not None:
+            product /= quotients[l]
+    if product is None:
+        product = factor
+        product[...] = np.eye(b)
+    return product

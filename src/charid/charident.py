@@ -53,7 +53,7 @@ from .gtbasis import (
     table_weights,
     weight,
 )
-from .blocks import Blocks
+from .blocks import Blocks, ordered_product, subtract_node
 
 KIND_GENERAL = "general"
 
@@ -272,40 +272,18 @@ def char_roots(lam, kind: str, mu=None, cm: CharMatrix | None = None) -> tuple[R
 
 def _blocked_product(blocks: Blocks, nodes, with_scale: bool = False):
     """Ordered product of the factors (blocks - node), left to right, on
-    each stack of equal-size blocks as one batch, as Blocks.
+    each stack of equal-size blocks by ordered_product, as Blocks.
 
     A node is a scalar root (an exact Fraction, converted to float once
     here, not once per stack), subtracted from every diagonal entry.  No
     nodes give the identity.  With with_scale, returns (product, the
     largest absolute entry of any factor over all stacks, 0 for no
     nodes): the scale of an identity's residual.
-
-    Each stack's factor and two product buffers are allocated once and
-    reused; fresh matrices per factor left the heap up to two matrices
-    larger.
     """
     nodes = [float(node) for node in nodes]
-    parts, scales = [], []
-    for stack in blocks.stacks:
-        b = stack.shape[-1]
-        factor = np.empty(stack.shape)
-        factor_diagonal = factor.reshape(stack.shape[:-2] + (b * b,))[..., ::b + 1]
-        product = spare = None
-        for node in nodes:
-            np.copyto(factor, stack)
-            factor_diagonal -= node
-            if with_scale:
-                scales.append(max_abs(factor))
-            if product is None:
-                product, spare = factor.copy(), np.empty(stack.shape)
-            else:
-                product, spare = np.matmul(product, factor, out=spare), product
-        if product is None:
-            product = np.empty(stack.shape)
-            product[...] = np.eye(b)
-        parts.append(product)
-        del factor, factor_diagonal, spare  # freed before the next stack's buffers
-    product = blocks.like(parts)
+    scales = [] if with_scale else None
+    product = blocks.like([ordered_product(stack, nodes, scales=scales)
+                           for stack in blocks.stacks])
     return (product, max_abs(scales)) if with_scale else product
 
 
@@ -388,26 +366,10 @@ def casimir_sigma(rep: Representation, order: int,
 
 def build_projectors(cm: CharMatrix, spectrum) -> tuple[Projector, ...]:
     """Lagrange projectors onto the eigenspaces of all roots, in spectrum
-    order.
-
-    Absent roots (multiplicity 0) yield zero projectors and are excluded
-    from the interpolation; the present root values v_1, ..., v_m (in
-    spectrum order) must be pairwise distinct.  With F_l = cm - v_l, the
-    projector of v_r is (F_1 ... F_{r-1})(F_{r+1} ... F_m) divided once by
-    the exact prod_{l != r} (v_r - v_l).  Each stack of blocks takes its
-    prefix and suffix products in turn, 3m - 6 batched matmuls for all m
-    projectors, so only one stack's intermediates are alive at a time.
-    """
+    order: the present roots' blocks are views of _lagrange_stacks, and
+    absent roots (multiplicity 0) yield zero projectors."""
     spectrum = tuple(spectrum)
-    values = [root.value for root in spectrum if root.multiplicity > 0]
-    if len(set(values)) != len(values):
-        raise DegenerateRootError(
-            f"repeated root values in spectrum: {sorted(map(str, values))}")
-    scales = [float(math.prod((v - w for w in values if w != v), start=Fraction(1)))
-              for v in values]
-    nodes = [float(v) for v in values]
-    parts = iter(zip(*(_lagrange_products(stack, nodes, scales)
-                       for stack in cm.blocks.stacks)))
+    parts = iter(zip(*_lagrange_stacks(cm, spectrum)))
     return tuple(
         Projector(r, root, cm.blocks.like(
             next(parts) if root.multiplicity > 0
@@ -415,35 +377,56 @@ def build_projectors(cm: CharMatrix, spectrum) -> tuple[Projector, ...]:
         for r, root in enumerate(spectrum, start=1))
 
 
-def _lagrange_products(stack: np.ndarray, nodes: list[float], scales: list[float]
-                       ) -> list[np.ndarray]:
-    """prod_{l != r} (stack - nodes[l]) / scales[r] for every r, each a
-    product of the factors in node order, from prefix and suffix
-    products.  stack is (k, b, b); one node gives the identity."""
-    m, b = len(nodes), stack.shape[-1]
+def _lagrange_stacks(cm: CharMatrix, spectrum):
+    """The Lagrange projectors of the m present roots of spectrum
+    (multiplicity > 0) in lockstep: one (m, k, b, b) stack per stack of
+    cm's blocks, made as the caller takes it, entry r - 1 holding the
+    blocks of the r-th present root's projector.  The present root values
+    v_1, ..., v_m must be pairwise distinct.  With F_l = cm - v_l, the
+    projector of v_r is (F_1 ... F_{r-1})(F_{r+1} ... F_m) divided once by
+    the exact prod_{l != r} (v_r - v_l).
+    """
+    values = [root.value for root in spectrum if root.multiplicity > 0]
+    if len(set(values)) != len(values):
+        raise DegenerateRootError(
+            f"repeated root values in spectrum: {sorted(map(str, values))}")
+    scales = np.array([float(math.prod((v - w for w in values if w != v), start=Fraction(1)))
+                       for v in values])[:, None, None, None]
+    nodes = [float(v) for v in values]
+    for stack in cm.blocks.stacks:
+        out = _lagrange_products(stack, nodes, np.empty((len(nodes),) + stack.shape))
+        out /= scales
+        yield out
 
-    def factor(l):
-        out = stack.copy()
-        out.reshape(stack.shape[:-2] + (b * b,))[..., ::b + 1] -= nodes[l]
-        return out
 
+def _lagrange_products(stack: np.ndarray, nodes: list[float], out: np.ndarray) -> np.ndarray:
+    """prod_{l != r} (stack - nodes[l]) into out[r] for every r, each a
+    product of the factors in node order, from prefix and suffix products:
+    3m - 6 batched matmuls, where ordered_product in lockstep would take
+    m(m - 2).  The two agree bit for bit for m <= 3, every benchmark job;
+    the lockstep loop took (4,3,2,1,0)'s projectors suite from 26-27 to
+    34-38 ms and its invariants suite from 51-56 to 57-64 ms in process,
+    and moved the last bits of the m >= 4 payloads.  stack is (k, b, b)
+    and out (m, k, b, b); one node gives the identity.
+    """
+    m, shape = len(nodes), stack.shape
     if m == 1:
-        out = np.empty(stack.shape)
-        out[...] = np.eye(b)
-        return [out]
-    # prefix[l] = F_0 ... F_l for l < m - 1; the last is the last projector.
-    prefix = [factor(0)]
+        out[0] = np.eye(shape[-1])
+        return out
+    factor = np.empty(shape)
+    # The prefix F_0 ... F_l is held in out[l] until out[l + 1] is made
+    # from it; the last, F_0 ... F_{m-2}, is made in out[m - 1].
+    subtract_node(stack, nodes[0], out[0] if m > 2 else out[1])
     for l in range(1, m - 1):
-        prefix.append(prefix[-1] @ factor(l))
-    out = [None] * m
-    out[m - 1] = prefix.pop()
-    suffix = factor(m - 1)  # F_{r+1} ... F_{m-1} for the r below
+        np.matmul(out[l - 1], subtract_node(stack, nodes[l], factor),
+                  out=out[l] if l < m - 2 else out[m - 1])
+    # The suffix F_{r+1} ... F_{m-1} for the r below; the last, r = 0, is
+    # made in out[0].
+    suffix = subtract_node(stack, nodes[m - 1], out[0] if m == 2 else np.empty(shape))
     for r in range(m - 2, 0, -1):
-        out[r] = prefix.pop() @ suffix
-        suffix = factor(r) @ suffix
-    out[0] = suffix
-    for product, scale in zip(out, scales):
-        product /= scale
+        np.matmul(out[r - 1], suffix, out=out[r])
+        suffix = np.matmul(subtract_node(stack, nodes[r], factor), suffix,
+                           out=out[0] if r == 1 else None)
     return out
 
 

@@ -17,7 +17,6 @@ import os
 import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,14 +122,12 @@ def render_json(value) -> str:
                     parts.append(", ")
                 emit(item)
             parts.append("]")
-        elif isinstance(v, (bool, np.bool_)) or v is None:
-            parts.append(json.dumps(bool(v) if v is not None else None))
-        elif isinstance(v, (int, np.integer)):
-            parts.append(str(int(v)))
+        elif isinstance(v, bool) or v is None:
+            parts.append(json.dumps(v))
+        elif isinstance(v, int):
+            parts.append(str(v))
         elif isinstance(v, (float, np.floating)):
             parts.append(_float_json(v))
-        elif isinstance(v, Fraction):
-            parts.append(json.dumps(str(v)))
         elif isinstance(v, str):
             parts.append(v if isinstance(v, _Raw) else json.dumps(v))
         else:

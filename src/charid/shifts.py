@@ -24,7 +24,7 @@ import numpy as np
 from .kernel import DomainError, entry_index
 from .glrep import Representation, gl_block_entries
 from .gtbasis import row_starts, table_labels
-from .blocks import DENSE_BELOW, Blocks, _component_labels
+from .blocks import DENSE_BELOW, Blocks, _component_labels, ordered_product
 
 
 def _restricted_matrices(rep: Representation, level: int) -> tuple:
@@ -72,48 +72,33 @@ def _restricted_projectors(blocks: Blocks, nodes: np.ndarray) -> Blocks:
 
     The r-th is the Lagrange product over every node but the r-th, its
     target, left to right, each partial product divided column-wise by its
-    factor's quotient target - node.  Factor l of the products of several
-    r is one batched product per stack, as many r as keep the batch within
-    LOCKSTEP_ENTRIES entries (at least one), and each (b, b) product and
-    division is the one a product of its own would take, so every
-    projector is that product bit for bit.  Prefix and suffix
-    products with one division at the end would take fewer products, but
-    they rely on the nodes commuting with the matrix, which holds only up
-    to rounding and not at all on a tampered module: in a trial they let a
-    module with a moved restricted entry pass and moved a residual beyond
-    the tests' rounding allowance.  One node gives the identity.
+    factor's quotient target - node.  The products of several r are one
+    ordered_product per stack, with those r as its batch axis and as many
+    r as keep the batch within LOCKSTEP_ENTRIES entries (at least one), and
+    each (b, b) product and division is the one a product of its own would
+    take, so every projector is that product bit for bit.  Prefix and
+    suffix products with one division at the end would take fewer
+    products, but they rely on the nodes commuting with the matrix, which
+    holds only up to rounding and not at all on a tampered module: in a
+    trial they let a module with a moved restricted entry pass and moved a
+    residual beyond the tests' rounding allowance.  One node gives the
+    identity.
     """
     n = len(nodes)
-    # others[r, l] is the node of factor l of the r-th product
+    # others[l, r] is the node of factor l of the r-th product
     others = np.array([[m for m in range(n) if m != r] for r in range(n)],
-                      dtype=np.intp).reshape(n, n - 1)
-    quotients = nodes[:, None, :] - nodes[others]
+                      dtype=np.intp).reshape(n, n - 1).T
+    quotients = nodes[None, :, :] - nodes[others]
     parts = []
     for index, stack in zip(blocks.index, blocks.stacks):
-        b = stack.shape[-1]
         step = max(1, LOCKSTEP_ENTRIES // stack.size)
         # each factor's node on the diagonal, and its quotient under each
         # column, cut into the stack's blocks
-        stack_nodes = nodes[others][..., index]  # (n, n - 1, k, b)
-        stack_quotients = quotients[..., index][..., None, :]  # (n, n - 1, k, 1, b)
-        batches = []
-        for rs in (slice(lo, min(lo + step, n)) for lo in range(0, n, step)):
-            factor = np.empty((rs.stop - rs.start,) + stack.shape)
-            factor_diagonal = factor.reshape(factor.shape[:-2] + (b * b,))[..., ::b + 1]
-            product = spare = None
-            for l in range(n - 1):
-                np.copyto(factor, stack)
-                factor_diagonal -= stack_nodes[rs, l]
-                if product is None:
-                    product, spare = factor.copy(), np.empty(factor.shape)
-                else:
-                    product, spare = np.matmul(product, factor, out=spare), product
-                product /= stack_quotients[rs, l]
-            if product is None:
-                product = factor
-                product[...] = np.eye(b)
-            batches.append(product)
-            del factor, factor_diagonal, spare  # freed before the next batch's buffers
+        stack_nodes = nodes[others][..., index]  # (n - 1, n, k, b)
+        stack_quotients = quotients[..., index][..., None, :]  # (n - 1, n, k, 1, b)
+        batches = [ordered_product(stack, stack_nodes[:, lo:lo + step],
+                                   stack_quotients[:, lo:lo + step])
+                   for lo in range(0, n, step)]
         parts.append(batches[0] if len(batches) == 1 else np.concatenate(batches))
     return blocks.like(parts)
 

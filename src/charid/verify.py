@@ -39,7 +39,7 @@ from .charident import (
     build_char_matrix,
     char_roots,
     build_projector,  # unused here, kept as a name the benchmark's tracer wraps
-    build_projectors,
+    _lagrange_stacks,
     cbar_diagonal,  # unused here, kept as a name the benchmark's tracer wraps
     elementary_square_from_invariants,  # unused here, kept as a name the benchmark's tracer wraps
     invariant_C_eigenvalue,  # unused here, kept as a name the benchmark's tracer wraps
@@ -318,23 +318,22 @@ BATCH_ENTRIES = 2 ** 16
 def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
     """Projector algebra, checked block by block on the characteristic
     matrix's diagonal blocks.  The blocks of one size of the m present
-    projectors are checked together, as (m, k, b, b) batches of at most
-    BATCH_ENTRIES entries: idempotency, all products P_a P_b with b > a,
-    the sum, the scale and the traces are one operation each per batch.
+    projectors, a lockstep (m, k, b, b) stack, are checked in views of at
+    most BATCH_ENTRIES entries: idempotency, all products P_a P_b with b >
+    a, the sum, the scale and the traces are one operation each per view.
     Projectors of absent roots are exactly zero, so they add nothing to the
-    maxima, the sum or the traces and are skipped."""
+    maxima, the sum or the traces and are not made."""
     report = VerificationReport("projectors")
     for kind in (KIND_A, KIND_ABAR):
-        cm = build_char_matrix(rep, kind)
         spectrum = char_roots(rep.weight, kind)
-        present = [p for p in build_projectors(cm, spectrum) if p.root.multiplicity > 0]
+        present = [root for root in spectrum if root.multiplicity > 0]
         scales, idem, ortho, completeness = [], [], [], []
         traces = np.zeros(len(present))
-        for stacks in zip(*(p.blocks.stacks for p in present)):
-            count, b = stacks[0].shape[:2]
-            step = max(1, BATCH_ENTRIES // (len(stacks) * b * b))
+        for stack in _lagrange_stacks(build_char_matrix(rep, kind), spectrum):
+            m, count, b = stack.shape[:3]
+            step = max(1, BATCH_ENTRIES // (m * b * b))
             for at in range(0, count, step):
-                batch = np.stack([stack[at:at + step] for stack in stacks])
+                batch = stack[:, at:at + step]
                 scales.append(max_abs(batch))
                 square = batch @ batch
                 square -= batch
@@ -356,7 +355,7 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
         report.add_residual(
             f"completeness (sum equals identity), kind {kind} on {format_weight(rep.weight)}",
             max_abs(completeness), tol.threshold(scale))
-        ranks_ok = all(round(trace) == p.root.multiplicity for trace, p in zip(traces, present))
+        ranks_ok = all(round(trace) == root.multiplicity for trace, root in zip(traces, present))
         report.add_exact(
             f"projector ranks equal constituent dimensions, kind {kind} "
             f"on {format_weight(rep.weight)}", ranks_ok)
@@ -401,10 +400,7 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
         f"sum_k C_k = 1 on each of {tables.branches} branches of {weight}",
         bool(np.all(tables.c_sums == tables.c_common)))
 
-    projectors = build_projectors(build_char_matrix(rep, KIND_ABAR), char_roots(lam, KIND_ABAR))
-    corners = [(0.0, 1.0)] + _corner_residuals(projectors, n * d, tables.cbar)
-    corner, corner_scale = map(max_abs, zip(*corners))
-    del projectors  # not kept alive through the restricted products below
+    corner, corner_scale = _corner_residual(rep, n * d, tables.cbar)
     report.add_residual(
         f"Cbar corner blocks match the closed form on {weight}",
         corner, tol.threshold(corner_scale))
@@ -455,32 +451,38 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     return report
 
 
-def _corner_residuals(projectors, start: int, diagonals) -> list[tuple[float, float]]:
-    """For each projector, max |corner - diag(diagonal)| over the
-    bottom-right square [start:, start:] of its matrix, and the larger of
-    the two sides' largest entries, read from the block entries in that
-    square: every entry outside the blocks is zero on both sides.  The
-    projectors share their blocks' index, so the entries are placed once."""
-    out = []
-    # One block: the square read as a view, the diagonal taken off in place.
-    # The general path below gives the same values; in process, interleaved,
-    # the exact-small invariants classes (16 shapes, each class's median
-    # summed) took 16.5 ms with this branch and 17.4 ms without (15.8 and
-    # 16.6 in the other order; 2 vCPUs).
-    if projectors[0].blocks.whole:
-        for proj, diagonal in zip(projectors, diagonals):
-            values = proj.blocks.stacks[0][0, start:, start:]
-            diff = values.copy()
-            diff.flat[::len(diff) + 1] -= diagonal
-            out.append((max_abs(diff), max_abs([max_abs(values), max_abs(diagonal)])))
-        return out
-    picks, rows, cols = projectors[0].blocks.corner_places(start)
-    on_diagonal = rows == cols
-    for proj, diagonal in zip(projectors, diagonals):
-        values = proj.blocks.corner_values(picks)
-        diff = values - np.where(on_diagonal, diagonal[rows], 0.0)
-        out.append((max_abs(diff), max_abs([max_abs(values), max_abs(diagonal)])))
-    return out
+def _corner_residual(rep: Representation, start: int, diagonals) -> tuple[float, float]:
+    """max |corner - diag(diagonal)| over every kind-Abar projector and the
+    bottom-right square [start:, start:] of its matrix, and the largest
+    entry of either side, at least (0.0, 1.0), for one diagonal per root.
+    The present projectors are read from their lockstep stacks at the
+    block entries in that square (every other entry is zero on both
+    sides); an absent root's projector is zero, so its residual and scale
+    are its closed-form row's largest entry."""
+    spectrum = char_roots(rep.weight, KIND_ABAR)
+    cm = build_char_matrix(rep, KIND_ABAR)
+    present = np.array([root.multiplicity > 0 for root in spectrum])
+    targets, absent = diagonals[present], max_abs(diagonals[~present])
+    residuals, scales = [0.0, absent], [1.0, max_abs(targets), absent]
+    # One block: the squares copied out whole.  The general path gives the
+    # same values; in process the check took 69-88 us on the gl(2)
+    # exact-small invariants classes with this branch, 102-143 without.
+    if cm.blocks.whole:
+        (stack,) = _lagrange_stacks(cm, spectrum)
+        values = stack[:, 0, start:, start:].copy()
+        scales.append(max_abs(values))
+        values.reshape(len(values), -1)[:, ::values.shape[-1] + 1] -= targets
+        residuals.append(max_abs(values))
+    else:
+        for stack, (at, rows, cols) in zip(_lagrange_stacks(cm, spectrum),
+                                           cm.blocks.corner_places(start)):
+            # taken at the flat places: 2-5 times faster than stack[:, pick]
+            values = np.take(stack.reshape(len(stack), -1), at, axis=1)
+            scales.append(max_abs(values))
+            on_diagonal = rows == cols
+            values[:, on_diagonal] -= targets[:, rows[on_diagonal]]
+            residuals.append(max_abs(values))
+    return max_abs(residuals), max_abs(scales)
 
 
 def _cleared_residual(layout, comps: np.ndarray, projectors, rs: slice, nums: np.ndarray,

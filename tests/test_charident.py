@@ -32,6 +32,7 @@ from charid.charident import (
     DualVectorRep,
     Root,
     _blocked_product,
+    _lagrange_stacks,
     build_char_matrix,
     build_projector,
     build_projectors,
@@ -51,7 +52,7 @@ from charid.charident import (
 )
 from charid.glrep import casimir_eigenvalue_formula
 from charid.superglmn import super_vector_weight
-from charid.verify import _corner_residuals, run_suite
+from charid.verify import _corner_residual, run_suite
 from reference import (
     invariant_C_sums, is_zero, ordinal, rank, row_shift_ids, support_residual)
 
@@ -572,7 +573,10 @@ def test_blocks_from_triplets_equal_the_dense_split(lam):
             for start in range(0, size, rep.dim):
                 window = _window(blocks, start, start + rep.dim)
                 assert np.array_equal(window, big[start:start + rep.dim, start:start + rep.dim])
-                rows, cols, values = blocks.corner(start)
+                places = blocks.corner_places(start)
+                rows, cols = (np.concatenate([p[x] for p in places]) for x in (1, 2))
+                values = np.concatenate([stack.ravel()[at]
+                                         for stack, (at, _, _) in zip(blocks.stacks, places)])
                 corner = np.zeros((size - start, size - start))
                 corner[rows, cols] = values
                 assert np.array_equal(corner, big[start:, start:]), (lam, kind, level, start)
@@ -622,20 +626,21 @@ def test_projector_suite_equals_the_per_projector_loop(lam):
 @pytest.mark.parametrize("lam", [lam for lam in BLOCK_SWEEP if len(lam) >= 2]
                          + [(3, 2, 1, 0), (2, 2, 2, 2, 2, 0)], ids=str)
 def test_corner_residual_equals_the_window_residual(lam):
-    """The Cbar corner residual and scale read from the projector blocks'
-    entries equal, bit for bit, those of the dense d x d corner window
-    against the dense diagonal matrix of the closed form."""
+    """The Cbar corner residual and scale, read in one pass from the
+    lockstep projector blocks' entries, equal bit for bit the maxima over
+    every projector of its dense d x d corner window against the dense
+    diagonal matrix of the closed form, with the floor (0.0, 1.0)."""
     rep = _sweep_rep(lam)
     n, d = rep.N - 1, rep.dim
     cm = build_char_matrix(rep, KIND_ABAR)
     projectors = build_projectors(cm, char_roots(rep.weight, KIND_ABAR))
-    diagonals = [cbar_diagonal(rep, k) for k in range(1, rep.N + 1)]
-    residuals = _corner_residuals(projectors, n * d, diagonals)
-    for k, (proj, diagonal, residual) in enumerate(zip(projectors, diagonals, residuals), start=1):
+    diagonals = np.array([cbar_diagonal(rep, k) for k in range(1, rep.N + 1)])
+    windows = [(0.0, 1.0)]
+    for proj, diagonal in zip(projectors, diagonals):
         window = _window(proj.blocks, n * d, rep.N * d)
         expected = np.diag(diagonal)
-        reference = (max_abs(window - expected), max(max_abs(window), max_abs(expected)))
-        assert residual == reference, (lam, k)
+        windows.append((max_abs(window - expected), max(max_abs(window), max_abs(expected))))
+    assert _corner_residual(rep, n * d, diagonals) == tuple(map(max, zip(*windows))), lam
 
 
 CORNER = "Cbar corner blocks match the closed form"
@@ -720,14 +725,15 @@ def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch, bloc
 
     monkeypatch.setattr(charid.verify, "build_char_matrix", keep(build_char_matrix))
     monkeypatch.setattr(charid.verify, "build_projector", keep(build_projector))
-    monkeypatch.setattr(charid.verify, "build_projectors", keep(build_projectors))
+    lagrange = []
+    monkeypatch.setattr(charid.verify, "_lagrange_stacks",
+                        lambda cm, spectrum: lagrange.append(cm) or _lagrange_stacks(cm, spectrum))
     rep = Representation((3, 2, 1, 0))
     assert rep.N * rep.dim >= DENSE_BELOW
     assert run_suite(suite, rep=rep).passed
     assert made
-    values = [v for value in made for v in (value if isinstance(value, tuple) else (value,))]
-    assert len(values) > len(made) or suite == "identity"
-    for value in values:
+    assert bool(lagrange) == (suite != "identity")
+    for value in made:
         assert "big" not in value.__dict__ and not hasattr(value, "matrix"), value
 
 
