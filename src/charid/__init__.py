@@ -15,7 +15,7 @@ _PUBLIC = {
     "gtbasis": "GTPattern Weight branch check_highest_weight dimension weight",
     "glrep": "Representation casimir_eigenvalue_formula",
     "charident": "KIND_GENERAL CharMatrix DualVectorRep Projector Root build_char_matrix "
-                 "CheckRecord build_projectors casimir_sigma char_roots dual_vector_weight "
+                 "CheckRecord casimir_sigma char_roots dual_vector_weight "
                  "general_root_candidates vector_weight verify_identity",
     "superglmn": "StarClassification SuperWeight classify_type1_star compose_type1_weight "
                  "parity super_char_roots super_vector_weight vector_rep "

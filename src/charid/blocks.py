@@ -109,8 +109,8 @@ class Blocks:
 
     @property
     def whole(self) -> bool:
-        """One block covering the whole matrix, in index order."""
-        return len(self.stacks) == 1 and self.stacks[0].shape[0] == 1
+        """One block of every state, in index order, for any stack shape."""
+        return len(self.index) == 1 and len(self.index[0]) == 1
 
     def dense(self) -> np.ndarray:
         if self.whole:

@@ -117,16 +117,6 @@ def _roots(labels) -> list[Fraction]:
     return [labels[j - 1] + (n - j) for j in range(1, n + 1)]
 
 
-def alpha_roots(lam) -> list[Fraction]:
-    """Roots of the plain characteristic matrix: alpha_j = lam_j + n - j."""
-    return _roots(check_highest_weight(lam))
-
-
-def alpha_bar_roots(lam) -> list[Fraction]:
-    """Roots of the negative-transpose matrix: abar_j = j - 1 - lam_j."""
-    return _bar_roots(check_highest_weight(lam))
-
-
 def _bar_roots(labels) -> list[Fraction]:
     """j - 1 - lam_j for the labels of a weight."""
     return [Fraction(j - 1) - labels[j - 1] for j in range(1, len(labels) + 1)]
@@ -364,19 +354,6 @@ def casimir_sigma(rep: Representation, order: int,
     return rationalize(scalar, tol)
 
 
-def build_projectors(cm: CharMatrix, spectrum) -> tuple[Projector, ...]:
-    """Lagrange projectors onto the eigenspaces of all roots, in spectrum
-    order: the present roots' blocks are views of _lagrange_stacks, and
-    absent roots (multiplicity 0) yield zero projectors."""
-    spectrum = tuple(spectrum)
-    parts = iter(zip(*_lagrange_stacks(cm, spectrum)))
-    return tuple(
-        Projector(r, root, cm.blocks.like(
-            next(parts) if root.multiplicity > 0
-            else (np.zeros_like(stack) for stack in cm.blocks.stacks)))
-        for r, root in enumerate(spectrum, start=1))
-
-
 def _lagrange_stacks(cm: CharMatrix, spectrum):
     """The Lagrange projectors of the m present roots of spectrum
     (multiplicity > 0) in lockstep: one (m, k, b, b) stack per stack of
@@ -432,11 +409,15 @@ def _lagrange_products(stack: np.ndarray, nodes: list[float], out: np.ndarray) -
 
 def build_projector(cm: CharMatrix, spectrum, r: int) -> Projector:
     """Lagrange projector onto the eigenspace of the r-th root (1-based):
-    entry r - 1 of build_projectors."""
+    its view of _lagrange_stacks, or zero blocks for an absent root."""
     spectrum = tuple(spectrum)
     if not 1 <= r <= len(spectrum):
         raise DomainError(f"root index {r} outside 1..{len(spectrum)}")
-    return build_projectors(cm, spectrum)[r - 1]
+    stacks, root = list(_lagrange_stacks(cm, spectrum)), spectrum[r - 1]
+    at = sum(other.multiplicity > 0 for other in spectrum[:r - 1])
+    parts = ([s[at] for s in stacks] if root.multiplicity
+             else map(np.zeros_like, cm.blocks.stacks))
+    return Projector(r, root, cm.blocks.like(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def parse_weight(text: str, family: str, sizes) -> tuple:
 def resolve_tolerance(value: float | None) -> Tolerance:
     if value is None and "CHARID_TOLERANCE" in os.environ:
         value = float(os.environ["CHARID_TOLERANCE"])
-    return Tolerance() if value is None else Tolerance(abs_eps=value, rel_eps=value)
+    return Tolerance() if value is None else Tolerance(value)
 
 
 class _Raw(str):
@@ -311,7 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = run_suite(args.suite, rep=_module(Representation, parsed), tol=tol)
     payload = {"schema": SCHEMA_VERSION, "command": "verify", "algebra": args.algebra,
                "weight": args.weight, "suite": args.suite,
-               "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
+               "tolerance": {"abs_eps": tol.eps, "rel_eps": tol.eps},
                "checks": _checks_json(report.checks)}
     payload.update(report.to_dict())
     _write_output(render_json(payload), args.output)

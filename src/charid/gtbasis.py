@@ -11,6 +11,7 @@ exact form, one pattern at a time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,33 +65,16 @@ def rows_interlace(upper, lower) -> bool:
     return True
 
 
-def _descending_steps(hi: Fraction, lo: Fraction):
-    value = hi
-    while value >= lo:
-        yield value
-        value -= 1
-
-
 def branch(lam) -> list[Weight]:
-    """All gl(n) weights interlacing a gl(n+1) weight, in canonical order.
-
-    The list is multiplicity free and ordered lexicographically with larger
-    labels first, matching the pattern enumeration order.
-    """
+    """All gl(n) weights interlacing a gl(n+1) weight, in canonical order:
+    label i ranges over [lam_{i+1}, lam_i] independently, so the list is the
+    product of those ranges taken from the top, multiplicity free and ordered
+    lexicographically with larger labels first, as the patterns are."""
     lam = check_highest_weight(lam)
     if len(lam) < 2:
         raise DomainError("branching needs a gl(n+1) weight with n >= 1")
-    out: list[Weight] = []
-
-    def extend(prefix: tuple[Fraction, ...], i: int):
-        if i == len(lam) - 1:
-            out.append(prefix)
-            return
-        for value in _descending_steps(lam[i], lam[i + 1]):
-            extend(prefix + (value,), i + 1)
-
-    extend((), 0)
-    return out
+    return list(itertools.product(*([hi - k for k in range(int(hi - lo) + 1)]
+                                    for hi, lo in zip(lam, lam[1:]))))
 
 
 @dataclass(frozen=True)

@@ -128,25 +128,24 @@ class Surd:
 class Tolerance:
     """Thresholds for declaring a float matrix zero.
 
-    A matrix M counts as zero when max|M_ij| <= abs_eps + rel_eps * scale,
-    where scale is the largest absolute entry among the reference inputs.
-    Each component lies in (0, MAX_EPS]: a larger one would let every
-    residual check pass and so show nothing.
+    A matrix M counts as zero when max|M_ij| <= eps + eps * scale, where
+    scale is the largest absolute entry among the reference inputs: eps is
+    both the absolute and the relative component.  It lies in (0, MAX_EPS]:
+    a larger one would let every residual check pass and so show nothing.
     """
 
     MAX_EPS = 1e-3
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < eps <= self.MAX_EPS for eps in (self.abs_eps, self.rel_eps)):
+        if not 0 < self.eps <= self.MAX_EPS:
             raise DomainError(
                 f"tolerance components must be finite, strictly positive and "
                 f"at most {self.MAX_EPS:g}")
 
     def threshold(self, scale: float = 0.0) -> float:
-        return self.abs_eps + self.rel_eps * scale
+        return self.eps + self.eps * scale
 
 
 def max_abs(m) -> float:

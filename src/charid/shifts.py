@@ -24,7 +24,7 @@ import numpy as np
 from .kernel import DomainError, entry_index
 from .glrep import Representation, gl_block_entries
 from .gtbasis import row_starts, table_labels
-from .blocks import DENSE_BELOW, Blocks, _component_labels, ordered_product
+from .blocks import Blocks, _component_labels, ordered_product
 
 
 def _restricted_matrices(rep: Representation, level: int) -> tuple:
@@ -154,10 +154,10 @@ class ShiftBatch:
     block of P.  The keys of both routes' terms and of psi's own entries
     are made one ordered set, `keys`, once for all r; sums() then adds each
     r's terms per key.  Every entry of either dense product that no term
-    reaches is exactly zero.  Restricted projectors of fewer than
-    DENSE_BELOW rows are one block each, which every triplet's state
-    reaches; there psi is scattered into (n, d, d) once, the keys are every
-    entry, and each route is one batched product.
+    reaches is exactly zero.  Where the restricted projectors are one whole
+    block (Blocks.whole, as below DENSE_BELOW rows), every triplet's state
+    reaches it; there psi is scattered into (n, d, d) once, the keys are
+    every entry, and each route is one batched product.
     """
 
     def __init__(self, rep: Representation):
@@ -174,7 +174,7 @@ class ShiftBatch:
         self.rows, self.cols, self.values = (a[at] for a in rep.entries)
         psi_keys = (self.j * d + self.rows) * d + self.cols
         codes, self.steps = _row_codes(rep)
-        self.dense = self.p.size < DENSE_BELOW
+        self.dense = self.p.whole
         if self.dense:
             self.size = self.terms = n * d * d
             self.keys = np.arange(self.size)
@@ -293,7 +293,7 @@ class GramLayout:
         # process, interleaved, the exact-small invariants classes (16 shapes,
         # each class's median summed) took 16.4 ms with this branch and 19.7
         # ms without (2 vCPUs; 0.69 against 0.88 ms on each gl(2) one).
-        if len(projectors.index) == 1 and len(projectors.index[0]) == 1:
+        if projectors.whole:
             used = np.zeros(d, dtype=bool)
             used[columns] = True
             m = int(np.count_nonzero(used))

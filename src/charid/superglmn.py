@@ -95,7 +95,9 @@ def vector_rep_relations_hold(m: int, n: int) -> bool:
     """Exact check of the graded bracket on every generator quadruple:
     a_pq a_rs - sign a_rs a_pq = d_qr a_ps - sign d_ps a_rq, where sign is
     -1 when both a_pq and a_rs are odd.  All pairs at once, as integer
-    einsums over the axes (p, q, r, s, row, col)."""
+    einsums over the axes (p, q, r, s, row, col).  On matrix units e_pq e_rs
+    = d_qr e_ps, so this holds for every sign: it checks the matrix units,
+    passes under any parity rule, and the super identities carry the parity."""
     a = vector_rep(m, n)
     parities = np.array([parity(p, m) for p in range(1, m + n + 1)])
     grade = parities[:, None] + parities[None, :]  # (p) + (q) of a_pq

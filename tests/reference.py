@@ -1,12 +1,13 @@
 """Reference helpers the tests read and no charid command, suite or traced
-run does: the ordinals of a module's patterns, a projector's rank, the
-zero test of a Tolerance, the magnitudes of one product-form range, the
-support residual of dense shift components and the per-branch C sums and
-M*Cbar squares of the invariants' closed forms."""
+run does: the ordinals of a module's patterns, every projector of a
+characteristic matrix, a projector's rank, the zero test of a Tolerance,
+the magnitudes of one product-form range, the support residual of dense
+shift components and the per-branch C sums and M*Cbar squares of the
+invariants' closed forms."""
 
 import numpy as np
 
-from charid.charident import invariant_tables
+from charid.charident import build_projector, invariant_tables
 from charid.glrep import Representation, _product_forms
 from charid.gtbasis import GTPattern, pattern_ordinals, row_starts
 from charid.kernel import DomainError, Tolerance, Triplets, max_abs
@@ -15,6 +16,13 @@ from charid.kernel import DomainError, Tolerance, Triplets, max_abs
 def ordinal(rep: Representation) -> dict[GTPattern, int]:
     """Each basis pattern of rep mapped to its ordinal."""
     return pattern_ordinals(rep.patterns)
+
+
+def every_projector(cm, spectrum) -> tuple:
+    """The Projector of every root of spectrum, in its order, each from
+    build_projector: a view of its lockstep stack, or zero blocks for an
+    absent root."""
+    return tuple(build_projector(cm, spectrum, r) for r in range(1, len(spectrum) + 1))
 
 
 def rank(projector) -> int:

@@ -35,7 +35,6 @@ from charid.charident import (
     _lagrange_stacks,
     build_char_matrix,
     build_projector,
-    build_projectors,
     casimir_sigma,
     cbar_diagonal,
     char_roots,
@@ -54,7 +53,7 @@ from charid.glrep import casimir_eigenvalue_formula
 from charid.superglmn import super_vector_weight
 from charid.verify import _corner_residual, run_suite
 from reference import (
-    invariant_C_sums, is_zero, ordinal, rank, row_shift_ids, support_residual)
+    every_projector, invariant_C_sums, is_zero, ordinal, rank, row_shift_ids, support_residual)
 
 TOL = Tolerance()
 
@@ -438,11 +437,11 @@ def test_blocked_products_match_dense_reference(lam):
             blocked = _blocked_product(layout, values)
             assert max_abs(blocked.dense() - reference) <= 1e-12, (lam, kind)
         present = [root.value for root in spectrum if root.multiplicity > 0]
-        # Every projector of build_projectors, on the blocks and on the
+        # Every projector of build_projector, on the blocks and on the
         # components forced below DENSE_BELOW, against its own dense
-        # Lagrange product; build_projector is an entry of the same tuple.
-        projectors = build_projectors(cm, spectrum)
-        forced = build_projectors(CharMatrix(kind, cm.weight, layouts[1]), spectrum)
+        # Lagrange product.
+        projectors = every_projector(cm, spectrum)
+        forced = every_projector(CharMatrix(kind, cm.weight, layouts[1]), spectrum)
         assert len(projectors) == len(forced) == len(spectrum)
         for r, (root, projector, split) in enumerate(zip(spectrum, projectors, forced), start=1):
             if root.multiplicity == 0:
@@ -455,8 +454,6 @@ def test_blocked_products_match_dense_reference(lam):
                 assert max_abs(matrix - reference) <= 1e-12, (lam, kind, r)
             assert rank(projector) == int(round(np.trace(reference))), (lam, kind, r)
             assert rank(projector) == root.multiplicity
-            single = build_projector(cm, spectrum, r)
-            assert _same_arrays(single.blocks.stacks, projector.blocks.stacks), (lam, kind, r)
 
 
 def test_blocks_keep_an_entry_joining_two_blocks(replace_generator):
@@ -591,7 +588,7 @@ def _per_projector_checks(rep, tol):
     threshold) or the exact verdict."""
     out = []
     for kind in (KIND_A, KIND_ABAR):
-        projectors = build_projectors(build_char_matrix(rep, kind), char_roots(rep.weight, kind))
+        projectors = every_projector(build_char_matrix(rep, kind), char_roots(rep.weight, kind))
         present = [p.blocks.stacks for p in projectors if p.root.multiplicity > 0]
         scale = max(p.blocks.max_abs() for p in projectors)
         idem = max(max_abs(s @ s - s) for stacks in present for s in stacks)
@@ -633,7 +630,7 @@ def test_corner_residual_equals_the_window_residual(lam):
     rep = _sweep_rep(lam)
     n, d = rep.N - 1, rep.dim
     cm = build_char_matrix(rep, KIND_ABAR)
-    projectors = build_projectors(cm, char_roots(rep.weight, KIND_ABAR))
+    projectors = every_projector(cm, char_roots(rep.weight, KIND_ABAR))
     diagonals = np.array([cbar_diagonal(rep, k) for k in range(1, rep.N + 1)])
     windows = [(0.0, 1.0)]
     for proj, diagonal in zip(projectors, diagonals):
@@ -1100,6 +1097,22 @@ def test_shift_routes_equal_the_dense_products_on_a_tampered_module(lam, replace
             full = np.zeros(n * d * d)
             full[batch.keys] = got
             assert max_abs(full - want) <= 1e-12 * max(1.0, max_abs(want)), (lam, r)
+
+
+@pytest.mark.parametrize("lam, shape, whole", [
+    ((120, 0), (1, 121, 1, 1), False), ((2, 1, 0), (2, 1, 16, 16), True)], ids=str)
+def test_whole_counts_blocks_not_lockstep_projectors(lam, shape, whole):
+    """Blocks.whole reads the layout: the (120,0) restriction is one stack
+    of 121 blocks of size 1 (one projector), the (2,1,0) one (n = 2) one
+    16-row block (two projectors).  ShiftBatch takes its whole-block path
+    exactly where whole holds, and a projector cut from the stacks reads
+    the same."""
+    batch = ShiftBatch(Representation(lam))
+    for blocks in (batch.p, batch.pbar):
+        assert [stack.shape for stack in blocks.stacks] == [shape]
+        assert blocks.whole == whole
+        assert blocks.like(stack[0] for stack in blocks.stacks).whole == whole
+    assert batch.dense == whole
 
 
 def _assert_matches_the_per_block_reference(rep):

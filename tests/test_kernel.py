@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -155,14 +156,10 @@ def test_surd_invariants_enforced():
 
 
 def test_tolerance_validation_and_scale():
-    with pytest.raises(DomainError):
-        Tolerance(abs_eps=0.0)
-    for value in (float("inf"), float("nan")):
+    for value in (0.0, -1e-9, float("inf"), float("nan")):
         with pytest.raises(DomainError):
-            Tolerance(abs_eps=value)
-        with pytest.raises(DomainError):
-            Tolerance(rel_eps=value)
-    tol = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
+            Tolerance(value)
+    tol = Tolerance(1e-12)
     big = np.full((2, 2), 1e6)
     noise = np.full((2, 2), 1e-7)
     assert max_abs(noise) <= tol.threshold(max_abs(big))  # relative part carries it
@@ -170,15 +167,20 @@ def test_tolerance_validation_and_scale():
 
 
 def test_tolerance_rejects_vacuous_components():
-    with pytest.raises(DomainError):
-        Tolerance(rel_eps=1.0)
     for value in (2e-3, 1.0, 1e300):
         with pytest.raises(DomainError):
-            Tolerance(abs_eps=value)
-        with pytest.raises(DomainError):
-            Tolerance(rel_eps=value)
+            Tolerance(value)
     for value in (Tolerance.MAX_EPS, 1e-9, 1e-30):
-        assert Tolerance(abs_eps=value, rel_eps=value).threshold() == value
+        assert Tolerance(value).threshold() == value
+        assert Tolerance(value).threshold(3.0) == value + value * 3.0
+    assert Tolerance() == Tolerance(1e-9)
+
+
+def test_tolerance_is_one_value():
+    """One settable value is both the absolute and the relative component."""
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps"]
+    with pytest.raises(TypeError):
+        Tolerance(abs_eps=1e-9)
 
 
 def test_rationalize_roundtrip_and_failure():
@@ -186,7 +188,7 @@ def test_rationalize_roundtrip_and_failure():
     assert rationalize(1.5, tol) == Fraction(3, 2)
     assert rationalize(float(Fraction(-9, 4)), tol) == Fraction(-9, 4)
     with pytest.raises(Exception):
-        rationalize(0.1234567891234, Tolerance(abs_eps=1e-15, rel_eps=1e-15))
+        rationalize(0.1234567891234, Tolerance(1e-15))
 
 
 def test_max_abs_empty():

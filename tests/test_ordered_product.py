@@ -11,10 +11,10 @@ import pytest
 
 from charid.blocks import ordered_product
 from charid.charident import (
-    KIND_A, KIND_ABAR, _blocked_product, _lagrange_stacks, build_char_matrix, build_projectors,
-    char_roots)
+    KIND_A, KIND_ABAR, _blocked_product, _lagrange_stacks, build_char_matrix, char_roots)
 from charid.glrep import Representation
 from charid.shifts import LOCKSTEP_ENTRIES, _restricted_matrices, _restricted_projectors
+from reference import every_projector
 
 
 def _reference_lagrange_products(stack, nodes, scales):
@@ -106,7 +106,7 @@ LAGRANGE_WEIGHTS = [(Fraction(7, 2),), (2, 2, 2, 2, 2, 0), (5, 5, 3, 0), (3, 2, 
 
 @pytest.mark.parametrize("lam", LAGRANGE_WEIGHTS, ids=str)
 def test_lockstep_projectors_equal_the_list_products(lam):
-    """Every projector of build_projectors is a view of one lockstep stack
+    """Every projector of build_projector is a view of one lockstep stack
     per block size and equals, bit for bit, the list-returning prefix and
     suffix products; absent roots get zero blocks of their own."""
     rep = Representation(lam)
@@ -114,7 +114,7 @@ def test_lockstep_projectors_equal_the_list_products(lam):
     for kind in (KIND_A, KIND_ABAR):
         cm = build_char_matrix(rep, kind)
         spectrum = char_roots(lam, kind)
-        projectors = build_projectors(cm, spectrum)
+        projectors = every_projector(cm, spectrum)
         lockstep = list(_lagrange_stacks(cm, spectrum))
         present = [root for root in spectrum if root.multiplicity > 0]
         present_counts.add(len(present))

@@ -191,6 +191,32 @@ def test_ungraded_convention_fails():
     assert residual > 0.5
 
 
+WRONG_PARITIES = {
+    "all-even": lambda p, m: 0,
+    "all-odd": lambda p, m: 1,
+    "swapped": lambda p, m: 1 - (p > m),
+}
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (2, 2), (3, 2)], ids=str)
+@pytest.mark.parametrize("rule", WRONG_PARITIES)
+def test_relations_record_holds_under_any_parity(mn, rule, monkeypatch):
+    """On matrix units e_pq e_rs = d_qr e_ps, so a_pq a_rs - s a_rs a_pq =
+    d_qr a_ps - s d_ps a_rq holds for every sign s: the graded relations
+    record passes under any parity rule and cannot see the grading.  The
+    identity records carry it: under each wrong rule the kind-A identity
+    fails (kind Abar fails too, except under all-even), and on the matrix
+    with the parity sign dropped the kind-A identity fails."""
+    monkeypatch.setattr(charid.superglmn, "parity", WRONG_PARITIES[rule])
+    assert vector_rep_relations_hold(*mn)
+    identity = {kind: verify_super_identity(*mn, kind, Tolerance()).passed
+                for kind in (KIND_A, KIND_ABAR)}
+    assert identity == {KIND_A: False, KIND_ABAR: rule == "all-even"}
+    monkeypatch.undo()
+    residual, threshold = ungraded_identity(*mn, KIND_A)
+    assert residual > threshold
+
+
 def test_full_product_needed_for_repeated_roots():
     # gl(1|1): the matrix is nilpotent but nonzero, so the single factor
     # of the distinct-value product cannot annihilate
