@@ -1,7 +1,8 @@
 """Square operators held as diagonal blocks: the connected components of
 the pattern of their entries, components of equal size stacked, or the
-whole matrix below DENSE_BELOW rows.  Every characteristic matrix of
-charid, its projectors and its restrictions are held this way."""
+whole matrix on a module of fewer than DENSE_BELOW rows N*d.  Every
+characteristic matrix of charid, its projectors and its restrictions are
+held this way, all of one module in the same layout."""
 
 from __future__ import annotations
 
@@ -13,22 +14,23 @@ import numpy as np
 from .kernel import max_abs
 
 
-# Below this many rows one dense product costs less than finding the
-# components and looping over their stacks, so such a matrix is held as a
-# single block.  Measured on 2 vCPUs, best of 40, whole against split
-# (split included).  Kind-Abar matrix with its identity and all projectors
-# (scalar nodes): 72 rows 0.30/0.42 ms, 81 rows 0.35/0.55, 90 rows
-# 0.44/0.38, 105 rows 0.57/0.51, 120 rows 0.70/0.38, 126 rows 0.82/0.42,
-# 144 rows 1.38/0.65.  Restricted matrices of both kinds with their
-# lockstep projectors and the shift and squared-norm checks of ShiftBatch
-# (operator nodes; psi dense on one block, joined as triplets on split
-# ones): 60 rows (3,3,3,0) 0.58/1.04 ms, 96 rows (2,1,1,1,0) 2.13/1.56,
-# 100 rows (1,1,1,0,0,0) 3.33/1.33, 105 rows (4,4,4,0) 1.62/1.16, 108 rows
-# (3,2,2,0) 1.59/1.60, 135 rows (3,3,2,0) 2.94/1.69, 160 rows (2,2,2,1,0)
-# 6.73/1.76.  From 100 rows on every restriction measured is as fast or
-# faster split, most of them far faster; below, the 96-row gl(5) one is
-# faster split too, and the 60-row gl(4) one faster whole.
-DENSE_BELOW = 100
+# A module of fewer rows N*d than this holds each of its matrices, the
+# characteristic matrices and their restrictions alike, as a single block:
+# there one dense product costs less than finding the components and
+# looping over their stacks.  A restriction does more work per row (n
+# lockstep products of n - 1 factors, the shift joins and the Gram
+# checks), so it gains from splitting at fewer rows of its own; reading
+# both against N*d places both crossovers with one value.  Measured by
+# tools/layout_sweep.py (BENCH_layout.json: 2 vCPUs, one BLAS thread,
+# lower quartiles of 26 calls; identity plus projectors for the
+# characteristic matrices, invariants for the restrictions) on 64 gl(2)-
+# gl(6) shapes, 113 matrices of 40-210 rows: 85 picks the slower layout
+# for 7 of them, 5 by at most 8%, and the 84-row matrix of (41,0) and the
+# 45-row restriction of (44,0) by 31% and 29%; 82 and 91, the next
+# values, for 11 each, and the matrix's own rows below 100 for 15, by up
+# to 53%: the 96-row restriction of (2,1,1,1,0), 3.58 ms whole against
+# 2.34 split, and the 75-row ones of gl(6) dim 15, 2.94 against 1.97.
+DENSE_BELOW = 85
 
 
 def _component_labels(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
@@ -67,10 +69,11 @@ class Blocks:
     """A square operator held as diagonal blocks.
 
     The blocks are the connected components of the pattern of the
-    operator's nonzero (or stored) entries, or the whole matrix below
-    DENSE_BELOW rows; components of equal size b are stacked, so `index`
-    holds one (k, b) index array and `stacks` one (k, b, b) array per
-    size.  Every entry outside the blocks is zero.
+    operator's nonzero (or stored) entries, or the whole matrix where its
+    module has fewer than DENSE_BELOW rows N*d (from_entries); components
+    of equal size b are stacked, so `index` holds one (k, b) index array
+    and `stacks` one (k, b, b) array per size.  Every entry outside the
+    blocks is zero.
     """
 
     size: int
@@ -79,11 +82,13 @@ class Blocks:
 
     @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     size: int) -> "Blocks":
+                     size: int, layout_rows: int | None = None) -> "Blocks":
         """The blocks of the size x size matrix whose entries (rows, cols)
         are values and all others zero, scattered without the dense matrix.
-        No position may come twice."""
-        if size < DENSE_BELOW:
+        No position may come twice.  The matrix is one whole block where
+        layout_rows, the row count N*d of the module it belongs to (size
+        by default), is below DENSE_BELOW."""
+        if (size if layout_rows is None else layout_rows) < DENSE_BELOW:
             whole = np.zeros((1, size, size))
             whole[0, rows, cols] = values
             return cls(size, (np.arange(size)[None, :],), (whole,))

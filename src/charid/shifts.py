@@ -35,7 +35,8 @@ def _restricted_matrices(rep: Representation, level: int) -> tuple:
     diagonal operator, read from the k-th label of each basis vector's row
     `level` and repeated over the level block rows.  Kind Abar holds
     -a_ji at block (i, j), so each entry of kind A moves to the transposed
-    block, negated."""
+    block, negated.  Both take the layout of the module's own
+    characteristic matrices, read from its N*d rows (Blocks.from_entries)."""
     d = rep.dim
     rows, cols, values, size = gl_block_entries(rep, "A", level=level)
     moved = (cols // d - rows // d) * d
@@ -44,8 +45,9 @@ def _restricted_matrices(rep: Representation, level: int) -> tuple:
     k = np.arange(1, level + 1)[:, None]
     tops = np.concatenate([labels + (level - k)] * level, axis=1)
     bars = np.concatenate([(k - 1) - labels] * level, axis=1)
-    return ((Blocks.from_entries(rows, cols, values, size), tops),
-            (Blocks.from_entries(rows + moved, cols - moved, -values, size), bars))
+    module_rows = rep.N * d
+    return ((Blocks.from_entries(rows, cols, values, size, module_rows), tops),
+            (Blocks.from_entries(rows + moved, cols - moved, -values, size, module_rows), bars))
 
 
 # The most block entries _restricted_projectors multiplies in one batch,
@@ -155,9 +157,10 @@ class ShiftBatch:
     are made one ordered set, `keys`, once for all r; sums() then adds each
     r's terms per key.  Every entry of either dense product that no term
     reaches is exactly zero.  Where the restricted projectors are one whole
-    block (Blocks.whole, as below DENSE_BELOW rows), every triplet's state
-    reaches it; there psi is scattered into (n, d, d) once, the keys are
-    every entry, and each route is one batched product.
+    block (Blocks.whole, as on a module of fewer than DENSE_BELOW rows
+    N*d), every triplet's state reaches it; there psi is scattered into
+    (n, d, d) once, the keys are every entry, and each route is one
+    batched product.
     """
 
     def __init__(self, rep: Representation):

@@ -22,7 +22,7 @@ from charid.gtbasis import (
 import charid.verify
 from charid.glrep import Representation, gl_block_entries, gl_block_matrix
 from charid.blocks import DENSE_BELOW, _pattern_components
-from charid.shifts import ShiftBatch
+from charid.shifts import ShiftBatch, _restricted_matrices
 from charid.charident import (
     KIND_A,
     KIND_ABAR,
@@ -262,7 +262,8 @@ def test_shift_components_completeness_and_consistency():
 
 
 def test_shift_components_hand_back_their_projectors():
-    # (3,3,2,0) restricts to 135 rows, above DENSE_BELOW: split into blocks
+    # (3,3,2,0) has 180 rows N*d, above DENSE_BELOW: its 135-row restriction
+    # is split into blocks
     for lam in [(2, 1, 0), (3, 3, 2, 0)]:
         rep = Representation(lam)
         n = rep.N - 1
@@ -406,11 +407,13 @@ def _split(big, index):
     return Blocks(big.shape[0], tuple(index), tuple(big[i[:, :, None], i[:, None, :]] for i in index))
 
 
-def _dense_split(big):
+def _dense_split(big, module_rows=None):
     """Reference blocks cut from the dense matrix: the components of its
-    nonzero pattern, or one whole block below DENSE_BELOW rows."""
+    nonzero pattern, or one whole block where its module has fewer than
+    DENSE_BELOW rows N*d (module_rows, by default the matrix's own)."""
     size = big.shape[0]
-    return _split(big, (np.arange(size)[None, :],) if size < DENSE_BELOW else _components(big))
+    whole = (size if module_rows is None else module_rows) < DENSE_BELOW
+    return _split(big, (np.arange(size)[None, :],) if whole else _components(big))
 
 
 def _dense_product(big, nodes, target=None):
@@ -438,7 +441,7 @@ def test_blocked_products_match_dense_reference(lam):
             assert max_abs(blocked.dense() - reference) <= 1e-12, (lam, kind)
         present = [root.value for root in spectrum if root.multiplicity > 0]
         # Every projector of build_projector, on the blocks and on the
-        # components forced below DENSE_BELOW, against its own dense
+        # components whatever the module's size, against its own dense
         # Lagrange product.
         projectors = every_projector(cm, spectrum)
         forced = every_projector(CharMatrix(kind, cm.weight, layouts[1]), spectrum)
@@ -560,13 +563,17 @@ def test_blocks_from_triplets_equal_the_dense_split(lam):
             big = gl_block_matrix(rep, kind, level)
             index = _pattern_components(rows, cols, size)
             assert _same_arrays(index, _components(big)), (lam, kind, level)
-            blocks = Blocks.from_entries(rows, cols, values, size)
-            expected = _dense_split(big)
+            blocks = Blocks.from_entries(rows, cols, values, size, rep.N * rep.dim)
+            expected = _dense_split(big, rep.N * rep.dim)
             assert blocks.size == expected.size
             assert _same_arrays(blocks.index, expected.index), (lam, kind, level)
             assert _same_arrays(blocks.stacks, expected.stacks), (lam, kind, level)
             if level == rep.N:
                 assert _same_arrays(build_char_matrix(rep, kind).blocks.stacks, blocks.stacks)
+            if level == rep.N - 1 and kind == KIND_A:
+                restricted = _restricted_matrices(rep, level)[0][0]
+                assert _same_arrays(restricted.index, blocks.index), lam
+                assert _same_arrays(restricted.stacks, blocks.stacks), lam
             for start in range(0, size, rep.dim):
                 window = _window(blocks, start, start + rep.dim)
                 assert np.array_equal(window, big[start:start + rep.dim, start:start + rep.dim])
@@ -708,7 +715,7 @@ def blocked_only(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["identity", "projectors", "invariants"])
 def test_suites_assemble_no_dense_characteristic_matrix(suite, monkeypatch, blocked_only):
-    """On a module of DENSE_BELOW or more block rows the suites read the
+    """On a module of DENSE_BELOW or more rows N*d the suites read the
     characteristic matrices, their projectors and the restricted
     projectors as blocks only: no dense view is ever assembled, and a
     projector has none."""
