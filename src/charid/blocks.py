@@ -22,14 +22,16 @@ from .kernel import max_abs
 # checks), so it gains from splitting at fewer rows of its own; reading
 # both against N*d places both crossovers with one value.  Measured by
 # tools/layout_sweep.py (BENCH_layout.json: 2 vCPUs, one BLAS thread,
-# lower quartiles of 26 calls; identity plus projectors for the
+# medians of 5 passes of 25 calls each; identity plus projectors for the
 # characteristic matrices, invariants for the restrictions) on 64 gl(2)-
 # gl(6) shapes, 113 matrices of 40-210 rows: 85 picks the slower layout
-# for 7 of them, 5 by at most 8%, and the 84-row matrix of (41,0) and the
-# 45-row restriction of (44,0) by 31% and 29%; 82 and 91, the next
-# values, for 11 each, and the matrix's own rows below 100 for 15, by up
-# to 53%: the 96-row restriction of (2,1,1,1,0), 3.58 ms whole against
-# 2.34 split, and the 75-row ones of gl(6) dim 15, 2.94 against 1.97.
+# for 7 of them, 6 clearly (every pass slower), and 91 and 106, the next
+# values, for 9, 6 clearly.  The 6 are restrictions that read faster
+# whole: the 45-row one of (44,0), 1.08 ms whole against 1.49 split, the
+# 60-row one of (59,0) and the 70-84-row gl(3) ones, by 13-22%.  Against
+# them, the 75-row restrictions of gl(6) dim 15 (module 90 rows) read 2.40
+# ms split against 3.06-3.15 whole, and the 96-row one of (2,1,1,1,0) 2.75
+# against 3.74.
 DENSE_BELOW = 85
 
 

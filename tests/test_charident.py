@@ -1054,8 +1054,9 @@ def reference_weights(draw):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(reference_weights())
 def test_invariants_suite_matches_the_per_block_reference_property(lam):
-    """Restricted matrices of 100 rows or more are split into blocks and
-    psi is joined with them as triplets; smaller ones are one block."""
+    """Restrictions of a module of DENSE_BELOW or more rows N*d are split
+    into blocks and psi is joined with them as triplets; the others are
+    one block."""
     _assert_matches_the_per_block_reference(Representation(lam))
 
 

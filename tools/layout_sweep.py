@@ -7,23 +7,22 @@ script times two consumers with the module's matrices all held whole (one
 dense block each) and all split (the connected components of their
 pattern): the identity and projectors suites, which read the
 characteristic matrices, and the invariants suite, which reads the
-restrictions and one characteristic matrix.  It records which layout two
-rules pick:
+restrictions and one characteristic matrix.  It records the layout the
+rule N*d < charid.blocks.DENSE_BELOW picks.
 
-- module: N*d < charid.blocks.DENSE_BELOW, the rule Blocks.from_entries
-  applies to every matrix of a module;
-- own_rows: each matrix's own row count < 100, the earlier rule.  Where it
-  holds a restriction whole and its characteristic matrix split ("mixed"),
-  that layout is timed too.
+The sweep makes PASSES passes over the shapes.  In each pass a layout's
+time is the lower quartile of RUNS calls, taken in two runs of
+consecutive calls per layout, in one order and then the other; a point's
+time is the median of its passes, and its spread the range of the passes
+relative to that median.  A slower pick is *clear* where every pass of
+the picked layout read slower than every pass of the other.  The output
+lists every point where the rule picks the slower layout, by how much,
+and for every threshold t of the rule how many points it would pick
+slower, and how many of them clearly.
 
-Each time is the lower quartile of about --runs calls, taken in two runs
-of consecutive calls per layout, in one order and then the other.  The output lists every point where a rule
-picks the slower layout, by how much, and for every threshold t of the
-module rule how many points it would pick slower.
+Run from the root of a checkout, with one BLAS thread (a few minutes):
 
-Run from the root of a checkout (about a minute at the default runs):
-
-    python3 tools/layout_sweep.py [--runs 25] [--threads 1] [--out BENCH_layout.json]
+    python3 tools/layout_sweep.py [--out BENCH_layout.json]
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OWN_ROWS_BELOW = 100  # the earlier rule's cut-off, on the matrix's own rows
+RUNS = 25  # timed calls per layout and pass
+PASSES = 5
+BLAS_THREADS = 1
+LAYOUTS = ("whole", "split")
 
 # gl(2)-gl(6) shapes (last label 0) where either consumer has 40-220 rows:
 # every gl(3)-gl(6) shape up to the largest label shown, and gl(2) shapes
@@ -67,30 +69,18 @@ def _host() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-class _WholeRestriction:
-    """Stands in for Blocks inside charid.shifts: every restricted matrix
-    is one whole block, whatever DENSE_BELOW says of its module."""
-
-    def __init__(self, blocks_class):
-        self.blocks_class = blocks_class
-
-    def from_entries(self, rows, cols, values, size, layout_rows=None):
-        # -1 lies below any DENSE_BELOW the sweep sets
-        return self.blocks_class.from_entries(rows, cols, values, size, -1)
-
-
-def _time_layouts(run, force, layouts, runs: int) -> dict:
-    """Lower-quartile ms of run(), which returns whether its suites
-    passed, under each forced layout.  Each layout is timed in runs of
-    consecutive calls, each run after one untimed call, in the order given
-    and then reversed, half of the calls each time: alternating the
-    layouts call by call made the split one read up to a quarter slower."""
+def _time_layouts(run, force) -> dict:
+    """Lower-quartile ms of about RUNS calls of run(), which returns
+    whether its suites passed, under each forced layout.  Each layout is
+    timed in runs of consecutive calls, each run after one untimed call, in one order and
+    then the other, half of the calls each time: alternating the layouts
+    call by call made the split one read up to a quarter slower."""
     import numpy as np
-    times = {layout: [] for layout in layouts}
-    for order in (layouts, layouts[::-1]):
+    times = {layout: [] for layout in LAYOUTS}
+    for order in (LAYOUTS, LAYOUTS[::-1]):
         for layout in order:
             with force(layout):
-                for repeat in range((runs + 1) // 2 + 1):
+                for repeat in range((RUNS + 1) // 2 + 1):
                     start = time.perf_counter()
                     passed = run()
                     elapsed = time.perf_counter() - start
@@ -98,111 +88,122 @@ def _time_layouts(run, force, layouts, runs: int) -> dict:
                         raise RuntimeError(f"a suite failed with the {layout} layout")
                     if repeat:
                         times[layout].append(elapsed * 1000.0)
-    return {layout: round(float(np.percentile(t, 25)), 4) for layout, t in times.items()}
+    return {layout: float(np.percentile(t, 25)) for layout, t in times.items()}
 
 
-def sweep(runs: int) -> dict:
+def sweep() -> dict:
     import contextlib
 
+    import numpy as np
+
     import charid.blocks as blocks
-    import charid.shifts as shifts
     from charid.glrep import Representation
     from charid.verify import run_suite
 
     @contextlib.contextmanager
     def force(layout):
-        dense_below, restricted = blocks.DENSE_BELOW, shifts.Blocks
+        dense_below = blocks.DENSE_BELOW
         blocks.DENSE_BELOW = sys.maxsize if layout == "whole" else 0
-        if layout == "mixed":
-            shifts.Blocks = _WholeRestriction(restricted)
         try:
             yield
         finally:
-            blocks.DENSE_BELOW, shifts.Blocks = dense_below, restricted
+            blocks.DENSE_BELOW = dense_below
 
-    points = []
-    for lam in SHAPES:
-        rep = Representation(lam)
-        N, d = rep.N, rep.dim
-        consumers = (
-            ("matrix", N * d, lambda: all(run_suite(suite, rep=rep).passed
-                                          for suite in ("identity", "projectors"))),
-            ("restriction", (N - 1) * d, lambda: run_suite("invariants", rep=rep).passed),
-        )
-        for consumer, rows, run in consumers:
-            if not LOW <= rows <= HIGH:
-                continue
-            module = "whole" if N * d < blocks.DENSE_BELOW else "split"
-            own_rows = "whole" if rows < OWN_ROWS_BELOW else "split"
-            if own_rows == "whole" and N * d >= OWN_ROWS_BELOW:
-                own_rows = "mixed"
-            layouts = ("whole", "split", "mixed")[:2 + (own_rows == "mixed")]
-            times = _time_layouts(run, force, layouts, runs)
-            points.append({"shape": ",".join(map(str, lam)), "N": N, "dim": d, "consumer": consumer,
-                           "rows": rows, "module_rows": N * d, "ms": times,
-                           "faster": min(("whole", "split"), key=times.get),
-                           "module": module, "own_rows": own_rows})
-            print(f"gl({N}) {lam} {consumer:11s} {rows:4d} rows: "
-                  + ", ".join(f"{k} {v:7.3f} ms" for k, v in times.items()),
-                  file=sys.stderr, flush=True)
-    return {"dense_below": blocks.DENSE_BELOW, "points": points}
+    points = {}
+    for done in range(PASSES):
+        for lam in SHAPES:
+            rep = Representation(lam)
+            N, d = rep.N, rep.dim
+            consumers = (
+                ("matrix", N * d, lambda: all(run_suite(suite, rep=rep).passed
+                                              for suite in ("identity", "projectors"))),
+                ("restriction", (N - 1) * d, lambda: run_suite("invariants", rep=rep).passed),
+            )
+            for consumer, rows, run in consumers:
+                if not LOW <= rows <= HIGH:
+                    continue
+                point = points.setdefault((lam, consumer), {
+                    "shape": ",".join(map(str, lam)), "N": N, "dim": d, "consumer": consumer,
+                    "rows": rows, "module_rows": N * d,
+                    "passes": {layout: [] for layout in LAYOUTS}})
+                for layout, ms in _time_layouts(run, force).items():
+                    point["passes"][layout].append(ms)
+        print(f"pass {done + 1} of {PASSES} done", file=sys.stderr, flush=True)
+
+    for point in points.values():
+        passes = point.pop("passes")
+        ms = {layout: float(np.median(t)) for layout, t in passes.items()}
+        point["ms"] = {layout: round(v, 4) for layout, v in ms.items()}
+        point["spread"] = {layout: round((max(t) - min(t)) / ms[layout], 4)
+                           for layout, t in passes.items()}
+        point["passes_ms"] = {layout: [round(v, 4) for v in t] for layout, t in passes.items()}
+        point["faster"] = min(LAYOUTS, key=ms.get)
+        point["picked"] = "whole" if point["module_rows"] < blocks.DENSE_BELOW else "split"
+    return {"dense_below": blocks.DENSE_BELOW, "points": list(points.values())}
 
 
 def _slower(point: dict, pick: str) -> float:
     """How much slower the picked layout is than the faster of whole and
     split, as a fraction (0 where it is the faster)."""
     ms = point["ms"]
-    return max(0.0, ms[pick] / min(ms["whole"], ms["split"]) - 1.0)
+    return max(0.0, ms[pick] / min(ms.values()) - 1.0)
+
+
+def _clearly_slower(point: dict, pick: str) -> bool:
+    """Whether every pass of the picked layout read slower than every pass
+    of the other."""
+    other = "split" if pick == "whole" else "whole"
+    return min(point["passes_ms"][pick]) > max(point["passes_ms"][other])
 
 
 def _summary(points: list, dense_below: int) -> dict:
-    out = {rule: [{"shape": p["shape"], "consumer": p["consumer"], "rows": p["rows"],
-                   "module_rows": p["module_rows"], "picked": p[rule],
-                   "slower_by": round(_slower(p, p[rule]), 4)}
-                  for p in points if _slower(p, p[rule]) > 0]
-           for rule in ("module", "own_rows")}
-    out["module_rule_thresholds"] = []
+    out = {"picks": [{"shape": p["shape"], "consumer": p["consumer"], "rows": p["rows"],
+                      "module_rows": p["module_rows"], "picked": p["picked"],
+                      "slower_by": round(_slower(p, p["picked"]), 4),
+                      "spread": p["spread"], "clear": _clearly_slower(p, p["picked"])}
+                     for p in points if _slower(p, p["picked"]) > 0],
+           "thresholds": []}
     # whole below t: every distinct split of the points' module rows
     rows = {p["module_rows"] for p in points}
     for t in sorted({min(rows)} | {r + 1 for r in rows} | {dense_below}):
-        losses = [_slower(p, "whole" if p["module_rows"] < t else "split") for p in points]
-        wrong = [loss for loss in losses if loss > 0]
-        out["module_rule_thresholds"].append(
+        picks = [(p, "whole" if p["module_rows"] < t else "split") for p in points]
+        wrong = [_slower(p, pick) for p, pick in picks if _slower(p, pick) > 0]
+        clear = [_slower(p, pick) for p, pick in picks if _clearly_slower(p, pick)]
+        out["thresholds"].append(
             {"dense_below": t, "slower_picks": len(wrong),
-             "worst_slower_by": round(max(wrong, default=0.0), 4)})
+             "worst_slower_by": round(max(wrong, default=0.0), 4),
+             "clear_slower_picks": len(clear),
+             "worst_clear_slower_by": round(max(clear, default=0.0), 4)})
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=25, help="timed calls per layout")
-    parser.add_argument("--threads", type=int, default=1, help="BLAS threads")
     parser.add_argument("--out", default=str(ROOT / "BENCH_layout.json"))
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.threads < 1:
-        parser.error("--runs and --threads must be positive")
     # set before numpy loads its BLAS
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[name] = str(args.threads)
+        os.environ[name] = str(BLAS_THREADS)
     sys.path.insert(0, str(ROOT / "src"))
-    result = sweep(args.runs)
+    result = sweep()
+    summary = _summary(result["points"], result["dense_below"])
     payload = {
         "what": "whole against split block layouts per consumer; see tools/layout_sweep.py",
-        "command": " ".join(["python3", "tools/layout_sweep.py",
-                             *(sys.argv[1:] if argv is None else argv)]),
+        "command": "python3 tools/layout_sweep.py",
         "host": _host(),
-        "blas_threads": args.threads,
-        "runs": args.runs,
-        "statistic": "lower quartile of the timed calls, ms",
-        "rules": {"module": f"N*d < DENSE_BELOW = {result['dense_below']}",
-                  "own_rows": f"the matrix's own rows < {OWN_ROWS_BELOW}"},
-        "slower_picks": _summary(result["points"], result["dense_below"]),
+        "blas_threads": BLAS_THREADS,
+        "runs": RUNS,
+        "passes": PASSES,
+        "statistic": "median over the passes of the lower quartile of each pass's calls, ms",
+        "rule": f"whole where N*d < DENSE_BELOW = {result['dense_below']}",
+        "slower_picks": summary["picks"],
+        "thresholds": summary["thresholds"],
         "points": result["points"],
     }
     Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
-    summary = payload["slower_picks"]
-    print(f"wrote {args.out}: {len(result['points'])} points; slower picks: module rule "
-          f"{len(summary['module'])}, own-rows rule {len(summary['own_rows'])}")
+    clear = sum(pick["clear"] for pick in summary["picks"])
+    print(f"wrote {args.out}: {len(result['points'])} points; the rule picks the slower "
+          f"layout on {len(summary['picks'])}, clearly on {clear}")
     return 0
 
 
