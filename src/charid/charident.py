@@ -646,8 +646,8 @@ def elementary_square_from_invariants(pattern, r: int) -> Fraction:
 
 class InvariantTables(NamedTuple):
     """The closed forms of the invariants suite on every basis pattern,
-    from its row-n labels (and row n - 1 for the squares); see
-    invariant_tables."""
+    from its row-n labels (and row n - 1 for the squares), all exact but
+    cbar and the norms; see invariant_tables."""
 
     branches: int  # distinct rows n
     c_sums: np.ndarray  # (d,) Python ints: sum_k C_{k,n+1} is c_sums / c_common
@@ -657,10 +657,9 @@ class InvariantTables(NamedTuple):
     norm_dens: np.ndarray
     square_nums: np.ndarray  # (d, n) exact M*Cbar products, column r - 1
     square_dens: np.ndarray
-    cross: tuple | None  # (p t, s q) of each pair given, exact
 
 
-def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
+def invariant_tables(rep: Representation) -> InvariantTables:
     """Every closed form the invariants suite reads, in one exact batch:
     C_{k,n+1} and Cbar_{k,n+1} for every k, M_{r,n} and Mbar_{r,n} for
     every r, and the product M_{r,n} Cbar_{r,n} of
@@ -681,11 +680,8 @@ def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
     quotient of its exact products, and M and Mbar are returned as
     numerator and denominator floats, so operator identities can be
     checked with cleared denominators where the denominator vanishes.
-
-    pairs, (cols, r - 1, s, t) of equal lengths, adds the cross products
-    of ratios s/t against the M*Cbar product p/q of pattern cols at r: the
-    rows of p and q, each with one factor more, t and s, so that the pass
-    gives p t and s q, the products glrep._exact_products takes.
+    The exact M*Cbar products are returned as numerators and denominators
+    (int64 or Python ints, as the pass took them).
     """
     n, N, d = rep.N - 1, rep.N, rep.dim
     if n < 1:
@@ -705,18 +701,9 @@ def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
         elementary_square_from_invariants(rep.patterns[c], int(r) + 1)
     signs = np.broadcast_to(layout.signs, (d, F)).ravel()
     factors = factors.reshape(d * F, 2, -1)
-    if pairs is not None:
-        cols, move, s, t = pairs
-        rows = cols * F + forms["MCbar"].start + move
-        factors = np.concatenate((factors, factors[rows]), dtype=np.result_type(factors, s, t))
-        factors[d * F:, :, -1] = np.stack((t, s), axis=1)
-        signs = np.concatenate((signs, signs[rows]))
     nums, dens = _exact_products(signs, factors[:, 0], factors[:, 1])
-    zero = znum > zden
-    nums_of, dens_of = nums[:d * F].reshape(d, F), dens[:d * F].reshape(d, F)
-    nums_of[:, forms["MCbar"]][zero] = 0
-    if pairs is not None:
-        nums[d * F:][zero[cols, move]] = 0
+    nums_of, dens_of = nums.reshape(d, F), dens.reshape(d, F)
+    nums_of[:, forms["MCbar"]][znum > zden] = 0
     c_dens = dens_of[0, forms["C"]].tolist()
     common = math.lcm(*c_dens)
     c_sums = sum(nums_of[:, forms["C"].start + k].astype(object) * (common // den)
@@ -729,8 +716,7 @@ def invariant_tables(rep: Representation, pairs=None) -> InvariantTables:
         cbar=np.asarray(nums_of[:, forms["Cbar"]] / dens_of[:, forms["Cbar"]], dtype=float).T,
         norm_nums=nums_of[:, norm].T.astype(float).reshape(2, n, d),
         norm_dens=dens_of[:, norm].T.astype(float).reshape(2, n, d),
-        square_nums=nums_of[:, forms["MCbar"]], square_dens=dens_of[:, forms["MCbar"]],
-        cross=None if pairs is None else (nums[d * F:], dens[d * F:]))
+        square_nums=nums_of[:, forms["MCbar"]], square_dens=dens_of[:, forms["MCbar"]])
 
 
 def norm_invariant_diagonals(rep: Representation, r: int, bar: bool

@@ -33,21 +33,16 @@ def _restricted_matrices(rep: Representation, level: int) -> tuple:
 
     Node k (an array's row k - 1) is the k-th root of the subalgebra as a
     diagonal operator, read from the k-th label of each basis vector's row
-    `level` and repeated over the level block rows.  Kind Abar holds
-    -a_ji at block (i, j), so each entry of kind A moves to the transposed
-    block, negated.  Both take the layout of the module's own
+    `level` and repeated over the level block rows.  Both kinds take their
+    entries from gl_block_entries and the layout of the module's own
     characteristic matrices, read from its N*d rows (Blocks.from_entries)."""
-    d = rep.dim
-    rows, cols, values, size = gl_block_entries(rep, "A", level=level)
-    moved = (cols // d - rows // d) * d
     start = row_starts(rep.N)[level]
     labels = table_labels(rep.weight, rep.table[:, start:start + level].T, float)
     k = np.arange(1, level + 1)[:, None]
     tops = np.concatenate([labels + (level - k)] * level, axis=1)
     bars = np.concatenate([(k - 1) - labels] * level, axis=1)
-    module_rows = rep.N * d
-    return ((Blocks.from_entries(rows, cols, values, size, module_rows), tops),
-            (Blocks.from_entries(rows + moved, cols - moved, -values, size, module_rows), bars))
+    return tuple((Blocks.from_entries(*gl_block_entries(rep, kind, level), rep.N * rep.dim), nodes)
+                 for kind, nodes in (("A", tops), ("Abar", bars)))
 
 
 # The most block entries _restricted_projectors multiplies in one batch,

@@ -365,8 +365,9 @@ def suite_projectors(rep: Representation, tol: Tolerance) -> VerificationReport:
 def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     """Projector-corner and squared-norm invariants of the top branching step.
 
-    Every closed form comes from one exact pass (invariant_tables), which
-    also cross-multiplies the stored ladder squares.  The shift checks run
+    Every closed form comes from one exact pass (invariant_tables), and the
+    stored ladder squares are compared with its M*Cbar products by
+    cross-multiplication in Python ints.  The shift checks run
     on ShiftBatch, the raising column psi_j = a_{j,n+1} read as triplets
     and joined with the lockstep restricted projectors of both kinds, for
     batches of r at once (one batch on small modules): both contraction
@@ -394,7 +395,7 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
     cols, move, rows = rep.raised(moves)
     stored_rows, stored_cols, stored_nums, stored_dens = rep._ladders[n]
     in_place = np.array_equal(rows, stored_rows) and np.array_equal(cols, stored_cols)
-    tables = invariant_tables(rep, (cols, move, stored_nums, stored_dens) if in_place else None)
+    tables = invariant_tables(rep)
 
     report.add_exact(
         f"sum_k C_k = 1 on each of {tables.branches} branches of {weight}",
@@ -443,8 +444,12 @@ def suite_invariants(rep: Representation, tol: Tolerance) -> VerificationReport:
 
     admissible = np.zeros((d, n), dtype=bool)
     admissible[cols, move] = True
+    # p/q == s/t as p t == s q in Python ints: an int64 product could wrap.
     exact_ok = (in_place and not np.any(tables.square_nums[~admissible] != 0)
-                and bool(np.all(tables.cross[0] == tables.cross[1])))
+                and bool(np.all(tables.square_nums[cols, move].astype(object)
+                                * stored_dens.astype(object)
+                                == stored_nums.astype(object)
+                                * tables.square_dens[cols, move].astype(object))))
     report.add_exact(
         f"squared ladder coefficients equal M*Cbar products exactly, "
         f"all {rep.dim} states of {lam}", exact_ok)
@@ -464,24 +469,14 @@ def _corner_residual(rep: Representation, start: int, diagonals) -> tuple[float,
     present = np.array([root.multiplicity > 0 for root in spectrum])
     targets, absent = diagonals[present], max_abs(diagonals[~present])
     residuals, scales = [0.0, absent], [1.0, max_abs(targets), absent]
-    # One block: the squares copied out whole.  The general path gives the
-    # same values; in process the check took 69-88 us on the gl(2)
-    # exact-small invariants classes with this branch, 102-143 without.
-    if cm.blocks.whole:
-        (stack,) = _lagrange_stacks(cm, spectrum)
-        values = stack[:, 0, start:, start:].copy()
+    for stack, (at, rows, cols) in zip(_lagrange_stacks(cm, spectrum),
+                                       cm.blocks.corner_places(start)):
+        # taken at the flat places: 2-5 times faster than stack[:, pick]
+        values = np.take(stack.reshape(len(stack), -1), at, axis=1)
         scales.append(max_abs(values))
-        values.reshape(len(values), -1)[:, ::values.shape[-1] + 1] -= targets
+        on_diagonal = rows == cols
+        values[:, on_diagonal] -= targets[:, rows[on_diagonal]]
         residuals.append(max_abs(values))
-    else:
-        for stack, (at, rows, cols) in zip(_lagrange_stacks(cm, spectrum),
-                                           cm.blocks.corner_places(start)):
-            # taken at the flat places: 2-5 times faster than stack[:, pick]
-            values = np.take(stack.reshape(len(stack), -1), at, axis=1)
-            scales.append(max_abs(values))
-            on_diagonal = rows == cols
-            values[:, on_diagonal] -= targets[:, rows[on_diagonal]]
-            residuals.append(max_abs(values))
     return max_abs(residuals), max_abs(scales)
 
 

@@ -169,6 +169,26 @@ def test_zero_denominator_label_is_usage_error(capsys, argv):
     assert err.startswith("error:") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--algebra", "gl3", "--weight=1,0", "--suite", "relations"),
+     "expected 3 labels for gl3, got 2"),
+    (("verify", "--algebra", "gl2|1", "--weight=1,0", "--suite", "super"),
+     "expected 3 labels for gl2|1, got 2"),
+    (("verify", "--algebra", "gl2|1", "--weight=1|0,0", "--suite", "super"),
+     "weight blocks (1|2) do not match gl2|1"),
+    (("rep", "--algebra", "gl0", "--weight=1"), "algebra size must be at least 1"),
+    (("rep", "--algebra", "gl0|1", "--weight=1"), "both parity blocks must be non-empty"),
+    (("rep", "--algebra", "gl2|1", "--weight=2,0|0"),
+     "representation export for gl(m|n) covers the vector weight only"),
+])
+def test_malformed_algebra_or_weight_is_usage_error(capsys, argv, message):
+    """Label counts, super weight blocks, empty algebras and a super
+    export of a weight other than the vector weight are refused with one
+    error line and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     for argv in (("verify", "--suite", "identity"), ("rep",)):

@@ -143,8 +143,7 @@ def test_melcross_fails_on_a_moved_commutator_entry(replace_generator):
     assert _check(report, "|a_1,3|").residual == pytest.approx(1e-3)
 
 
-def test_invariants_exact_check_fails_on_a_changed_ladder_numerator():
-    rep = Representation((2, 1, 0))
+def _fails_only_the_exact_check_on_a_changed_ladder_numerator(rep):
     prefix = "squared ladder coefficients equal M*Cbar"
     assert _check(run_suite("invariants", rep=rep), prefix).passed
     rows, cols, nums, dens = rep._ladders[rep.N - 1]
@@ -154,6 +153,18 @@ def test_invariants_exact_check_fails_on_a_changed_ladder_numerator():
     report = run_suite("invariants", rep=rep)
     assert not _check(report, prefix).passed
     assert all(c.passed for c in report.checks if not c.description.startswith(prefix))
+
+
+def test_invariants_exact_check_fails_on_a_changed_ladder_numerator():
+    _fails_only_the_exact_check_on_a_changed_ladder_numerator(Representation((2, 1, 0)))
+
+
+def test_invariants_exact_check_on_python_int_ladder_squares():
+    """gl(12) (3/2, -1/2 x 11), dim 78: the top level's stored squares are
+    Python ints, and the M*Cbar products they are compared with too."""
+    rep = Representation((Fraction(3, 2),) + (Fraction(-1, 2),) * 11)
+    assert all(a.dtype == object for a in rep._ladders[rep.N - 1][2:])
+    _fails_only_the_exact_check_on_a_changed_ladder_numerator(rep)
 
 
 def test_invariants_exact_check_fails_on_a_missing_ladder_entry():

@@ -10,6 +10,7 @@ from charid.kernel import (
     DomainError,
     Surd,
     Tolerance,
+    entry_index,
     matrix_power,
     max_abs,
     partial_trace_block,
@@ -193,3 +194,24 @@ def test_rationalize_roundtrip_and_failure():
 
 def test_max_abs_empty():
     assert max_abs(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_entry_index_unique_fallback(monkeypatch, count):
+    """A bound too large to pack a position beside each key falls back to
+    np.unique, with the same (size, inverse) as the packed path on the
+    same keys."""
+    keys = np.random.default_rng(count).integers(0, 300, count)
+    entries, expected = np.unique(keys, return_inverse=True)
+    packed = entry_index(keys, 300)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    bound = 2 ** 64 >> count.bit_length()
+    fallback = entry_index(keys, bound)
+    assert len(calls) == 1
+    entry_index(keys, bound >> 1)  # the largest bound that still packs
+    assert len(calls) == 1
+    for size, inverse in (fallback, packed):
+        assert size == len(entries)
+        assert np.array_equal(inverse, expected)
