@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import max_abs
+from .kernel import freeze, max_abs
 
 
 # A module of fewer rows N*d than this holds each of its matrices, the
@@ -66,6 +66,23 @@ def _pattern_components(rows: np.ndarray, cols: np.ndarray, size: int
     return tuple(run.reshape(-1, size_of[run[0]]) for run in runs)
 
 
+def split_layout(rows: np.ndarray, cols: np.ndarray, size: int) -> tuple:
+    """The split layout of a size x size matrix whose entries are (rows,
+    cols): the (k, b) index tables of _pattern_components and, per state,
+    where its row starts in the flat buffer of all stacks and its place in
+    its block, so that entry (r, c) lands at row_start[r] + place[c] with
+    one assignment (Blocks.from_entries).  Every array is read-only: a
+    module keeps the layouts of its characteristic matrices."""
+    index = _pattern_components(rows, cols, size)
+    starts = np.cumsum([0] + [i.size * i.shape[1] for i in index])
+    row_start, place = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    for i, start in zip(index, starts):
+        k, b = i.shape
+        row_start[i] = start + b * b * np.arange(k)[:, None] + b * np.arange(b)
+        place[i] = np.arange(b)
+    return tuple(map(freeze, index)), freeze(row_start), freeze(place)
+
+
 @dataclass(eq=False, repr=False)  # a frozen dataclass adds 1 ms to the import
 class Blocks:
     """A square operator held as diagonal blocks.
@@ -84,30 +101,25 @@ class Blocks:
 
     @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     size: int, layout_rows: int | None = None) -> "Blocks":
+                     size: int, layout_rows: int | None = None, layout=split_layout
+                     ) -> "Blocks":
         """The blocks of the size x size matrix whose entries (rows, cols)
         are values and all others zero, scattered without the dense matrix.
         No position may come twice.  The matrix is one whole block where
         layout_rows, the row count N*d of the module it belongs to (size
-        by default), is below DENSE_BELOW."""
+        by default), is below DENSE_BELOW.  Otherwise its blocks are
+        layout(rows, cols, size), split_layout by default or a module's
+        kept copy of it, and the values are scattered into them."""
         if (size if layout_rows is None else layout_rows) < DENSE_BELOW:
             whole = np.zeros((1, size, size))
             whole[0, rows, cols] = values
             return cls(size, (np.arange(size)[None, :],), (whole,))
-        index = _pattern_components(rows, cols, size)
-        # All stacks are views of one flat buffer.  Each state knows where
-        # its block starts in it, its place in the block and the block's
-        # width, so every entry lands with one assignment.
+        index, row_start, place = layout(rows, cols, size)
+        # All stacks are views of one flat buffer.
         shapes = [i.shape + i.shape[1:] for i in index]
         starts = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        block_start, place, width = (np.empty(size, dtype=np.intp) for _ in range(3))
-        for i, start in zip(index, starts):
-            k, b = i.shape
-            block_start[i] = start + b * b * np.arange(k)[:, None]
-            place[i] = np.arange(b)
-            width[i] = b
         flat = np.zeros(starts[-1])
-        flat[block_start[rows] + place[rows] * width[rows] + place[cols]] = values
+        flat[row_start[rows] + place[cols]] = values
         return cls(size, index, tuple(flat[start:stop].reshape(shape) for shape, start, stop
                                       in zip(shapes, starts, starts[1:])))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,7 +53,7 @@ from .gtbasis import (
     table_weights,
     weight,
 )
-from .blocks import Blocks, ordered_product, subtract_node
+from .blocks import Blocks, ordered_product, split_layout, subtract_node
 
 KIND_GENERAL = "general"
 
@@ -156,9 +156,14 @@ def build_char_matrix(rep: Representation, kind: str, aux=None) -> CharMatrix:
     aux(a_ij)[a, c] rep(a_ji)[r, s] at (a d + r, c d + s) are summed per
     position in generator order, as the Kronecker products would be added
     up, and exact zeros are dropped.
+
+    Kinds A and Abar read their split block layout from the module, which
+    finds it on the first call for each kind and keeps it (only the
+    layout: the values are scattered anew on every call).
     """
     if kind in (KIND_A, KIND_ABAR):
-        return CharMatrix(kind, rep.weight, Blocks.from_entries(*gl_block_entries(rep, kind)))
+        return CharMatrix(kind, rep.weight, Blocks.from_entries(
+            *gl_block_entries(rep, kind), layout=partial(rep._kept, kind, split_layout)))
     if kind != KIND_GENERAL:
         raise DomainError(f"unknown characteristic matrix kind {kind!r}")
     if aux is None:

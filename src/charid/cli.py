@@ -26,6 +26,7 @@ from .kernel import (
     SUITE_NAMES,
     DomainError,
     Tolerance,
+    freeze,
     late_names,
     offsets,
     to_rational,
@@ -184,7 +185,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
 def _gl_table(rep: Representation) -> _Table:
     """The module's triplet table rep.entries, each distinct value rendered
-    once."""
+    once; its arrays are read-only, so the module can keep it."""
     N, d = rep.N, rep.dim
     rows, cols, values = rep.entries
     i, j = np.divmod(rep.entry_gen, N)
@@ -214,8 +215,9 @@ def _gl_table(rep: Representation) -> _Table:
     found, floats = _distinct(values[step > 1])
     codes[step > 1] = len(texts) + found
     kinds = ("diagonal", "elementary", "nonelementary")
-    return _Table([(f"a_{a}_{b}", kinds[min(abs(a - b), 2)]) for a, b in rep.generator_labels()],
-                  rep.entry_starts, rows, cols, codes, texts + floats)
+    return _Table(tuple((f"a_{a}_{b}", kinds[min(abs(a - b), 2)])
+                        for a, b in rep.generator_labels()),
+                  rep.entry_starts, rows, cols, freeze(codes), tuple(texts + floats))
 
 
 def _super_table(m: int, n: int) -> _Table:
@@ -272,7 +274,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
     if family == "gl":
         _bind("Representation", "row_starts", "table_labels", "table_weights")
         rep = _module(Representation, parsed)
-        labels, dim, table = rep.weight, rep.dim, _gl_table(rep)
+        labels, dim, table = rep.weight, rep.dim, rep._kept("table", _gl_table, rep)
     else:
         _bind("super_vector_weight", "vector_rep")
         if parsed != super_vector_weight(*sizes):

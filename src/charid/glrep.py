@@ -606,6 +606,18 @@ class Representation:
         self.entries = Triplets(freeze(rows[order]), freeze(cols[order]), freeze(values[order]))
         self.entry_gen = freeze(g[order])
         self.entry_starts = freeze(offsets(self.entry_gen, self.N * self.N))
+        self._memo = {}
+
+    def _kept(self, key, make, *args):
+        """make(*args), made once per key for the stored entries, which
+        determine it: _store drops every kept value.  What is kept must be
+        read-only, like the rest of the module.  A kept module serves its
+        later jobs the split block layouts of its characteristic matrices
+        (charident.build_char_matrix) and its export table (cli._gl_table),
+        3 intp per row N*d for the layouts."""
+        if key not in self._memo:
+            self._memo[key] = make(*args)
+        return self._memo[key]
 
     def _build(self):
         table, d, N = self.table, self.dim, self.N

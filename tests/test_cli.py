@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import charid.blocks
 import charid.cli
 from charid.cli import main, parse_algebra, parse_weight, render_json
 from charid.glrep import Representation
@@ -655,6 +656,36 @@ def test_a_kept_module_is_read_only_and_unchanged_by_every_job(capsys):
     arrays = list(_arrays(vars(rep)))
     assert len(arrays) >= 12 and not any(a.flags.writeable for a in arrays)
     assert _bits(rep) == before
+
+
+def test_a_kept_module_labels_each_kind_once_and_tabulates_its_export_once(capsys,
+                                                                           monkeypatch):
+    """gl(4) (5,5,3,0), dim 224, 896 rows N*d, split: the identity,
+    projectors and invariants jobs find the components of each kind's
+    characteristic matrix once, in the first job that builds it, and the
+    second export format reuses the first one's table."""
+    charid.cli._module.cache_clear()
+    labelled, tables = [], []
+    components, gl_table = charid.blocks._pattern_components, charid.cli._gl_table
+
+    def counting_components(rows, cols, size):
+        labelled.append(size)
+        return components(rows, cols, size)
+
+    def counting_table(rep):
+        tables.append(rep)
+        return gl_table(rep)
+
+    monkeypatch.setattr(charid.blocks, "_pattern_components", counting_components)
+    monkeypatch.setattr(charid.cli, "_gl_table", counting_table)
+    common = ("--algebra", "gl4", "--weight=5,5,3,0")
+    for suite in ("identity", "projectors", "invariants"):
+        assert run(capsys, "verify", *common, "--suite", suite)[0] == 0
+    assert labelled.count(4 * 224) == 2
+    assert labelled.count(3 * 224) > 0  # the restrictions are found per call
+    for fmt in ("json", "csv"):
+        assert run(capsys, "rep", *common, "--format", fmt)[0] == 0
+    assert len(tables) == 1
 
 
 REFUSED_BEFORE_BUILD = [

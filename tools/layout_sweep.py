@@ -8,7 +8,8 @@ dense block each) and all split (the connected components of their
 pattern): the identity and projectors suites, which read the
 characteristic matrices, and the invariants suite, which reads the
 restrictions and one characteristic matrix.  It records the layout the
-rule N*d < charid.blocks.DENSE_BELOW picks.
+rule N*d < charid.blocks.DENSE_BELOW picks.  Every timed call starts
+cold: the module's kept split layouts are dropped before it, untimed.
 
 The sweep makes PASSES passes over the shapes.  In each pass a layout's
 time is the lower quartile of RUNS calls, taken in two runs of
@@ -69,18 +70,21 @@ def _host() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def _time_layouts(run, force) -> dict:
+def _time_layouts(run, force, cold) -> dict:
     """Lower-quartile ms of about RUNS calls of run(), which returns
     whether its suites passed, under each forced layout.  Each layout is
     timed in runs of consecutive calls, each run after one untimed call, in one order and
     then the other, half of the calls each time: alternating the layouts
-    call by call made the split one read up to a quarter slower."""
+    call by call made the split one read up to a quarter slower.  cold()
+    runs before each call, untimed, so that no call reads a split layout
+    that the module kept from an earlier one."""
     import numpy as np
     times = {layout: [] for layout in LAYOUTS}
     for order in (LAYOUTS, LAYOUTS[::-1]):
         for layout in order:
             with force(layout):
                 for repeat in range((RUNS + 1) // 2 + 1):
+                    cold()
                     start = time.perf_counter()
                     passed = run()
                     elapsed = time.perf_counter() - start
@@ -126,7 +130,7 @@ def sweep() -> dict:
                     "shape": ",".join(map(str, lam)), "N": N, "dim": d, "consumer": consumer,
                     "rows": rows, "module_rows": N * d,
                     "passes": {layout: [] for layout in LAYOUTS}})
-                for layout, ms in _time_layouts(run, force).items():
+                for layout, ms in _time_layouts(run, force, rep._memo.clear).items():
                     point["passes"][layout].append(ms)
         print(f"pass {done + 1} of {PASSES} done", file=sys.stderr, flush=True)
 
