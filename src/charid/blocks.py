@@ -132,8 +132,6 @@ class Blocks:
         return len(self.index) == 1 and len(self.index[0]) == 1
 
     def dense(self) -> np.ndarray:
-        if self.whole:
-            return self.stacks[0][0]
         out = np.zeros((self.size, self.size))
         for i, stack in zip(self.index, self.stacks):
             out[i[:, :, None], i[:, None, :]] = stack

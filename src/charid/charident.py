@@ -77,8 +77,8 @@ class CharMatrix:
 
     @cached_property
     def big(self) -> np.ndarray:
-        """The whole matrix, assembled from the blocks on first use: a dense
-        view for tests and callers, which no check of charid reads."""
+        """The whole matrix, assembled from the blocks on first use: a fresh
+        array for tests and callers, which no check of charid reads."""
         return self.blocks.dense()
 
 

@@ -92,12 +92,6 @@ def parse_weight(text: str, family: str, sizes) -> tuple:
     return SuperWeight(even, odd)
 
 
-def resolve_tolerance(value: float | None) -> Tolerance:
-    if value is None and "CHARID_TOLERANCE" in os.environ:
-        value = float(os.environ["CHARID_TOLERANCE"])
-    return Tolerance() if value is None else Tolerance(value)
-
-
 class _Raw(str):
     """Text that render_json writes as it stands: JSON rendered in bulk."""
 
@@ -214,10 +208,12 @@ def _gl_table(rep: Representation) -> _Table:
         texts += ['"1*sqrt(%d/%d)"' % pq for pq in zip(nums[first].tolist(), dens[first].tolist())]
     found, floats = _distinct(values[step > 1])
     codes[step > 1] = len(texts) + found
+    texts += floats
+    codes = freeze(codes.astype(np.min_scalar_type(len(texts))))  # few texts, so narrow codes
     kinds = ("diagonal", "elementary", "nonelementary")
     return _Table(tuple((f"a_{a}_{b}", kinds[min(abs(a - b), 2)])
                         for a, b in rep.generator_labels()),
-                  rep.entry_starts, rows, cols, freeze(codes), tuple(texts + floats))
+                  rep.entry_starts, rows, cols, codes, tuple(texts))
 
 
 def _super_table(m: int, n: int) -> _Table:
@@ -303,7 +299,10 @@ def cmd_rep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     family, sizes = parse_algebra(args.algebra)
     parsed = parse_weight(args.weight, family, sizes)
-    tol = resolve_tolerance(args.tolerance)
+    value = args.tolerance
+    if value is None and "CHARID_TOLERANCE" in os.environ:
+        value = float(os.environ["CHARID_TOLERANCE"])
+    tol = Tolerance() if value is None else Tolerance(value)
     _bind("Representation", "check_job", "run_suite")
     # A job its suite cannot run is refused before its module is built.
     check_job(args.suite, family, parsed if family == "gl" else parsed.labels())
@@ -363,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="glN for gl(n), glM|N for gl(m|n)")
         p.add_argument("--weight", required=True,
                        help="comma-separated labels; super weights may use 'a,b|c'")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override abs/rel tolerance (env CHARID_TOLERANCE)")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         if kind:
             p.add_argument("--kind", choices=(KIND_A, KIND_ABAR), default=KIND_A)
         if suite:
             p.add_argument("--suite", choices=SUITE_NAMES, required=True)
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override abs/rel tolerance (env CHARID_TOLERANCE)")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -119,20 +119,20 @@ def super_char_matrix(m: int, n: int, kind: str) -> np.ndarray:
 
 
 def _super_blocks(m: int, n: int, kind: str) -> Blocks:
-    """super_char_matrix as one whole block: the sign of each block (p, q)
-    times the vector representation's generators, reshaped so that block
-    (p, q) holds rows (p-1)s.. and columns (q-1)s.., s = m + n."""
+    """super_char_matrix from its entries: block (p, q), of size s = m + n,
+    holds one signed matrix unit, at (p, q) for kind A, (q, p) for kind Abar."""
+    if m < 1 or n < 1:
+        raise DomainError("need m >= 1 and n >= 1")
     size = m + n
-    gens = vector_rep(m, n).astype(np.float64)
+    p, q = np.divmod(np.arange(size * size), size)  # block (p + 1, q + 1)
     odd = np.arange(size) >= m  # (p) of p = 1 ... m + n
     if kind == KIND_A:  # row-parity: (-1)^(p) a_pq
-        blocks = np.where(odd, -1.0, 1.0)[:, None, None, None] * gens
+        row, col, sign = p, q, np.where(odd[p], -1.0, 1.0)
     elif kind == KIND_ABAR:  # minus-graded-swap: -(-1)^((p)(q)) a_qp
-        blocks = np.where(np.outer(odd, odd), 1.0, -1.0)[:, :, None, None] * gens.swapaxes(0, 1)
+        row, col, sign = q, p, np.where(odd[p] & odd[q], 1.0, -1.0)
     else:
         raise DomainError(f"unknown kind {kind!r}")
-    whole = blocks.swapaxes(1, 2).reshape(1, size * size, size * size)
-    return Blocks(size * size, (np.arange(size * size)[None, :],), (whole,))
+    return Blocks.from_entries(p * size + row, q * size + col, sign, size * size)
 
 
 def super_char_roots(lam: SuperWeight, kind: str) -> tuple[Root, ...]:

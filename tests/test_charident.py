@@ -416,6 +416,19 @@ def _dense_split(big, module_rows=None):
     return _split(big, (np.arange(size)[None, :],) if whole else _components(big))
 
 
+@pytest.mark.parametrize("lam, whole", [((2, 1, 0), True), ((5, 2, 0), False)], ids=str)
+def test_writing_into_the_dense_matrix_leaves_the_blocks(lam, whole):
+    """CharMatrix.big and Blocks.dense() are fresh arrays for a whole matrix
+    ((2,1,0), 24 rows) and a split one ((5,2,0), 126 rows) alike."""
+    cm = build_char_matrix(Representation(lam), KIND_A)
+    assert cm.blocks.whole == whole
+    before = [stack.copy() for stack in cm.blocks.stacks]
+    cm.big[0, 0] += 1
+    cm.blocks.dense()[0, 0] += 1
+    assert all(np.array_equal(s, b) for s, b in zip(cm.blocks.stacks, before))
+    assert cm.blocks.dense()[0, 0] == cm.big[0, 0] - 1
+
+
 def _dense_product(big, nodes, target=None):
     """Reference ordered product on the dense matrix, one factor at a time."""
     eye = np.eye(big.shape[0])

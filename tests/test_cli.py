@@ -147,6 +147,16 @@ def test_verify_infinite_tolerance_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("rep", "--algebra", "gl2", "--weight=1,0"),
+    ("roots", "--algebra", "gl2", "--weight=1,0"),
+    ("classify", "--algebra", "gl2|1", "--weight=1,0|0")], ids=lambda argv: argv[0])
+def test_tolerance_is_a_verify_option_only(capsys, argv):
+    """rep, roots and classify read no tolerance, so they refuse the option."""
+    code, out, _ = run(capsys, *argv, "--tolerance", "1e-6")
+    assert code == 2 and out == ""
+
+
 def test_verify_vacuous_tolerance_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--algebra", "gl3", "--weight",
                          "2,1,0", "--suite", "identity", "--tolerance", "1e300")

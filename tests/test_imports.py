@@ -39,6 +39,7 @@ JOBS = [
     (("roots", *GL3, "--kind", "A"), ROOTS),
     (("roots", *GL3, "--kind", "Abar"), ROOTS),
     (("verify", *GL3, "--suite", "identity"), ROOTS + ("verify",)),
+    (("verify", *GL3, "--suite", "projectors"), ROOTS + ("verify",)),
     (("classify", *GL21), ROOTS + ("superglmn",)),
     (("verify", *GL21, "--suite", "super"), ROOTS + ("superglmn", "verify")),
 ]

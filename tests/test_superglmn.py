@@ -120,18 +120,15 @@ def test_super_identity_grid(mn, kind):
 
 
 def _loop_blocks(m, n, sign, swap):
-    """The characteristic matrix block by block, as super_char_matrix was
-    once built: block (p, q) is sign(p, q) times e_qp (swap) or e_pq, each
-    an int64 matrix unit times a Python int."""
+    """The characteristic matrix block by block: block (p, q) holds the one
+    entry sign(p, q) of its matrix unit, at (q, p) (swap) or (p, q), and
+    zeros elsewhere."""
     size = m + n
     whole = np.zeros((size * size, size * size))
     for p in range(1, size + 1):
         for q in range(1, size + 1):
             row, col = (q, p) if swap else (p, q)
-            gen = np.zeros((size, size), dtype=np.int64)
-            gen[row - 1, col - 1] = 1
-            block = sign(p, q) * gen.astype(np.float64)
-            whole[(p - 1) * size:p * size, (q - 1) * size:q * size] = block
+            whole[(p - 1) * size + row - 1, (q - 1) * size + col - 1] = sign(p, q)
     return whole
 
 
@@ -147,12 +144,26 @@ def _rule(m, kind, graded=True):
 @pytest.mark.parametrize("mn", SUPER_GRID, ids=str)
 @pytest.mark.parametrize("kind", [KIND_A, KIND_ABAR])
 def test_super_blocks_equal_the_loop_built_matrix_bit_for_bit(mn, kind):
-    """The reshaped signed generators equal the block-by-block loop in every
-    bit, signed zeros included."""
+    """The matrix built from its entries equals the block-by-block loop in
+    every bit, its zeros included."""
     (whole,) = _super_blocks(*mn, kind).stacks
     expected = _loop_blocks(*mn, *_rule(mn[0], kind))
     assert whole.shape == (1,) + expected.shape
     assert np.array_equal(whole[0].view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind, shapes", [
+    (KIND_A, [(90, 1), (1, 10)]), (KIND_ABAR, [(10, 1), (45, 2)])])
+def test_gl55_matrices_are_split_and_their_identities_hold_exactly(kind, shapes):
+    """gl(5|5) has 100 rows, at least DENSE_BELOW: kind A is one 10-row block
+    of the diagonal units and 90 one-row blocks, kind Abar a two-row block
+    per pair p < q and a one-row block per p.  The identity holds with
+    residual 0 on the blocks."""
+    blocks = _super_blocks(5, 5, kind)
+    assert [i.shape for i in blocks.index] == shapes
+    assert np.array_equal(blocks.dense(), _loop_blocks(5, 5, *_rule(5, kind)))
+    report = verify_super_identity(5, 5, kind, Tolerance())
+    assert report.passed and report.residual == 0.0
 
 
 def ungraded_identity(m, n, kind):
